@@ -11,14 +11,27 @@ Both strategies now share the vectorized kernels (structured working-set
 QP, cached Hamiltonian invariants, batched constraint assembly), so the
 exact-vs-fast gap isolates the checker strategy itself while the
 comparison against the recorded baseline captures the full engine
-speedup -- the ISSUE 2 acceptance criterion (>= 5x on the P = 20 case
-with a certified passive result).
+speedup -- the acceptance criterion of >= 5x on the P = 20 case with a
+certified passive result.
+
+The half-size Hamiltonian acceptance is measured within the same
+process: the large-case exact run is recorded in an in-memory telemetry
+session and repeated once with the engine's full-size fallback forced
+(the original design: a 2N x 2N eigensolve every iteration).  The
+structural checks (every exact check takes the n x n structured
+eigensolve, the reference takes the 2n x 2n one, both certify the same
+worst sigma) run everywhere; only the wall-clock comparison between the
+two runs is skipped under REPRO_SKIP_PERF_ASSERTS.
 """
 
 import os
 import time
 
+import numpy as np
+
 from benchmarks.conftest import emit
+from repro.obs.telemetry import Telemetry, events_of, session
+from repro.passivity import engine
 from repro.passivity.cost import l2_gramian_cost
 from repro.passivity.enforce import EnforcementOptions, enforce_passivity
 from repro.vectfit.core import vector_fit
@@ -32,7 +45,10 @@ PR1_LARGE_ENFORCEMENT_SECONDS = 98.91
 # Large-case exact-strategy enforcement wall time recorded by the PR-7
 # code (full-size 2N x 2N Hamiltonian eigensolve every iteration; see
 # benchmarks/artifacts/tabI_fast_passivity.txt in the PR-7 tree).  The
-# half-size structured eigensolve must beat this strictly.
+# figure is kept only as a historical row of the artifact: the half-size
+# acceptance compares against a full-size run measured in the same
+# process, since a wall time from another machine says nothing about
+# this one.
 PR7_LARGE_EXACT_ENFORCEMENT_SECONDS = 5.06
 
 CASES = (
@@ -60,7 +76,27 @@ def _enforce_timed(model, strategy):
     return result, time.perf_counter() - start
 
 
-def test_tabI_fast_passivity(artifacts_dir):
+def _enforce_recorded(model, strategy):
+    """:func:`_enforce_timed` inside an in-memory telemetry session."""
+    telemetry = Telemetry(None)
+    with session(telemetry):
+        result, seconds = _enforce_timed(model, strategy)
+    return result, seconds, telemetry
+
+
+def _eigensolve_spans(telemetry):
+    """The session's finished ``kernel:hamiltonian_eig`` spans, in order."""
+    return [
+        e for e in events_of(telemetry, "span.finish")
+        if e["span"].split("/")[-1] == "kernel:hamiltonian_eig"
+    ]
+
+
+def _disable_half_size(*args, **kwargs):
+    raise ValueError("half-size eigensolve disabled for the reference run")
+
+
+def test_tabI_fast_passivity(artifacts_dir, monkeypatch):
     lines = [
         "Table I -- fast passivity engine: enforcement wall time by "
         "checker strategy",
@@ -72,7 +108,12 @@ def test_tabI_fast_passivity(artifacts_dir):
     large_fast_seconds = None
     for size, n_frequencies, n_poles in CASES:
         case, fit = _fit_case(size, n_frequencies, n_poles)
-        exact, t_exact = _enforce_timed(fit.model, "exact")
+        if size == "large":
+            exact, t_exact, half_telemetry = _enforce_recorded(
+                fit.model, "exact"
+            )
+        else:
+            exact, t_exact = _enforce_timed(fit.model, "exact")
         fast, t_fast = _enforce_timed(fit.model, "fast")
 
         # Identical convergence behavior: both certified by the exact
@@ -91,8 +132,25 @@ def test_tabI_fast_passivity(artifacts_dir):
             f"{fast.report_after.worst_sigma:.8f}"
         )
         if size == "large":
+            large_model = fit.model
+            large_exact = exact
             large_fast_seconds = t_fast
             large_exact_seconds = t_exact
+
+    # Same-run reference for the half-size acceptance: the large case
+    # again with the engine's full-size fallback forced (the checker
+    # treats a ValueError from half_size_invariants as "no structured
+    # path"), i.e. the original design with a 2N x 2N eigensolve per
+    # check.
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "half_size_invariants", _disable_half_size)
+        full, large_full_size_seconds, full_telemetry = _enforce_recorded(
+            large_model, "exact"
+        )
+    half_spans = _eigensolve_spans(half_telemetry)
+    full_spans = _eigensolve_spans(full_telemetry)
+    half_eig_seconds = sum(e["seconds"] for e in half_spans)
+    full_eig_seconds = sum(e["seconds"] for e in full_spans)
 
     speedup_vs_pr1 = PR1_LARGE_ENFORCEMENT_SECONDS / large_fast_seconds
     lines += [
@@ -105,11 +163,39 @@ def test_tabI_fast_passivity(artifacts_dir):
         f"({PR1_LARGE_ENFORCEMENT_SECONDS / large_exact_seconds:.1f}x)",
         f"  this run, fast strategy              : "
         f"{large_fast_seconds:.2f} s ({speedup_vs_pr1:.1f}x)",
+        f"  this run, exact, full-size eigensolve: "
+        f"{large_full_size_seconds:.2f} s "
+        f"({PR1_LARGE_ENFORCEMENT_SECONDS / large_full_size_seconds:.1f}x; "
+        "half-size path disabled)",
+        f"  kernel:hamiltonian_eig, half-size    : "
+        f"{half_eig_seconds:.2f} s over {len(half_spans)} checks "
+        f"(n = {half_spans[0]['n'] if half_spans else 0})",
+        f"  kernel:hamiltonian_eig, full-size    : "
+        f"{full_eig_seconds:.2f} s over {len(full_spans)} checks "
+        f"(n = {full_spans[0]['n'] if full_spans else 0})",
         f"  PR-7 recorded exact-strategy run     : "
         f"{PR7_LARGE_EXACT_ENFORCEMENT_SECONDS:.2f} s (full-size "
-        "Hamiltonian eigensolve)",
+        "Hamiltonian eigensolve, historical; other machine)",
     ]
     emit(artifacts_dir / "tabI_fast_passivity.txt", "\n".join(lines))
+
+    # Half-size Hamiltonian acceptance, structural part (any hardware):
+    # every exact check of the large-case run takes the n x n structured
+    # eigensolve ...
+    n_exact_checks = half_telemetry.counters.get("checker.exact_checks", 0)
+    assert n_exact_checks > 0
+    assert len(half_spans) == n_exact_checks
+    assert all(e["half_size"] for e in half_spans)
+    # ... the forced reference takes the 2n x 2n one on every check ...
+    assert full_spans
+    assert not any(e["half_size"] for e in full_spans)
+    assert {e["n"] for e in full_spans} == {2 * e["n"] for e in half_spans}
+    # ... and both certify the same worst singular value.
+    assert full.converged
+    assert np.isclose(
+        full.report_after.worst_sigma, large_exact.report_after.worst_sigma,
+        rtol=1e-6, atol=1e-9,
+    )
 
     # Acceptance criterion: >= 5x on the Table G case with a certified
     # passive result.  Skippable on shared/loaded runners (CI sets
@@ -118,10 +204,10 @@ def test_tabI_fast_passivity(artifacts_dir):
     # dedicated machine.
     if not os.environ.get("REPRO_SKIP_PERF_ASSERTS"):
         assert large_fast_seconds * 5.0 <= PR1_LARGE_ENFORCEMENT_SECONDS
-        # Half-size Hamiltonian acceptance: the exact strategy (one
-        # structured eigensolve per iteration) must beat the PR-7
-        # full-size-eigensolve recording outright.
-        assert large_exact_seconds < PR7_LARGE_EXACT_ENFORCEMENT_SECONDS
+        # Half-size Hamiltonian acceptance, wall-clock part: the exact
+        # strategy (one structured eigensolve per iteration) must beat
+        # the full-size-eigensolve run measured in this process.
+        assert large_exact_seconds < large_full_size_seconds
 
 
 def test_tabI_perf_smoke(artifacts_dir):
@@ -153,8 +239,6 @@ def test_tabI_half_size_hamiltonian_engaged(artifacts_dir):
     half-size path (n x n product eigensolve instead of the 2n x 2n
     Hamiltonian), and it must agree with the full-size oracle check.
     """
-    import numpy as np
-
     from repro.passivity.check import check_passivity
     from repro.passivity.engine import CheckerOptions, PassivityChecker
 
