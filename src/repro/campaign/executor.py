@@ -149,38 +149,6 @@ def default_jobs() -> int:
     return max(1, min(os.cpu_count() or 1, 8))
 
 
-def _backend_environment(requested: str) -> dict:
-    """Resolved array-backend description for run records and telemetry.
-
-    Never raises: an unavailable backend (requested but not installed in
-    this process) is reported with ``device: None`` instead of failing the
-    bookkeeping -- the flow itself raises the actionable ImportError.
-    """
-    from repro.backend import get_backend, resolve_backend_name
-
-    try:
-        resolved = resolve_backend_name(requested)
-    except ValueError:
-        return {"requested": requested, "resolved": None, "device": None}
-    try:
-        backend = get_backend(resolved)
-    except ImportError:
-        return {"requested": requested, "resolved": resolved, "device": None}
-    return {
-        "requested": requested,
-        "resolved": backend.name,
-        "device": backend.device,
-    }
-
-
-def _backend_meta(scenarios) -> dict:
-    """Campaign-level backend summary (one entry per distinct request)."""
-    return {
-        name: _backend_environment(name)
-        for name in sorted({s.backend for s in scenarios})
-    }
-
-
 def _stage_store_dir(cache_dir: str | None) -> str | None:
     """Per-stage artifact store location implied by a flow-cache directory.
 
@@ -253,7 +221,6 @@ def execute_scenario(
             "blas_thread_limit": _WORKER_BLAS_LIMIT,
             "blas_limit_method": _WORKER_BLAS_METHOD,
             "shared_standard_fit": standard_fit is not None,
-            "backend": _backend_environment(scenario.backend),
         },
     }
     boundary = "testcase"
@@ -1150,7 +1117,6 @@ def _run_campaign_impl(
             active_tel.meta.setdefault("blas", {
                 "jobs": jobs, "blas_threads": None, "method": "uncapped",
             })
-            active_tel.meta.setdefault("backend", _backend_meta(todo))
         for scenario in todo:
             attempt = 0
             while True:
@@ -1189,7 +1155,6 @@ def _run_campaign_impl(
                 "blas_threads": worker_blas,
                 "method": "worker-init",
             })
-            active_tel.meta.setdefault("backend", _backend_meta(todo))
         _run_pool(
             todo, policy, max_workers, worker_log_level, worker_blas,
             cache_dir, _prefit, stage_store, telemetry_dir,

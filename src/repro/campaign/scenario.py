@@ -71,10 +71,6 @@ class ScenarioSpec:
         Vector-fitting linear-algebra kernel: ``"batched"`` (stacked
         batched LAPACK, default) or ``"reference"`` (per-column loops);
         see :class:`repro.vectfit.options.VFOptions`.
-    backend:
-        Array backend for the dense kernels of this scenario ("auto",
-        "numpy", "cupy", "jax" or "array_api_strict"); threaded into
-        both the VF and enforcement options (see :mod:`repro.backend`).
     """
 
     name: str = "scenario"
@@ -103,7 +99,6 @@ class ScenarioSpec:
     checker_strategy: str = "fast"
     checker_exact_every: int = 5
     vf_kernel: str = "batched"
-    backend: str = "auto"
 
     def _stray_external_fields(self) -> list[str]:
         """External-only knobs set although no ``data_file`` is.
@@ -132,11 +127,7 @@ class ScenarioSpec:
     def flow_options(self) -> FlowOptions:
         """The flow configuration this scenario describes."""
         return FlowOptions(
-            vf=VFOptions(
-                n_poles=self.n_poles,
-                kernel=self.vf_kernel,
-                backend=self.backend,
-            ),
+            vf=VFOptions(n_poles=self.n_poles, kernel=self.vf_kernel),
             weight_mode=self.weight_mode,
             weight_floor=self.weight_floor,
             refinement_rounds=self.refinement_rounds,
@@ -145,7 +136,6 @@ class ScenarioSpec:
                 max_iterations=self.enforcement_max_iterations,
                 checker_strategy=self.checker_strategy,
                 exact_every=self.checker_exact_every,
-                backend=self.backend,
             ),
         )
 

@@ -121,7 +121,6 @@ def _flow_options(args: argparse.Namespace) -> FlowOptions:
             n_poles=args.poles,
             dc_exact=args.dc_exact,
             kernel=args.kernel,
-            backend=args.backend,
         ),
         weight_mode=args.weight_mode,
         refinement_rounds=args.refinement_rounds,
@@ -129,7 +128,6 @@ def _flow_options(args: argparse.Namespace) -> FlowOptions:
         enforcement=EnforcementOptions(
             checker_strategy=_checker_strategy(args),
             exact_every=args.exact_every,
-            backend=args.backend,
         ),
     )
 
@@ -140,7 +138,6 @@ def _repro_config(args: argparse.Namespace) -> ReproConfig:
         flow=_flow_options(args),
         ingest=_conditioning_options(args),
         validation=ValidationOptions(low_band_hz=args.low_band_hz),
-        backend=args.backend,
     )
 
 
@@ -296,8 +293,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     """Run the in-repo static-analysis pass (tools/reprolint).
 
     ``reprolint`` lives in the repository's ``tools/`` tree, not in the
-    installed package: it checks *this codebase's* conventions (backend
-    routing, telemetry grammar, error taxonomy, ...), so running it only
+    installed package: it checks *this codebase's* conventions (telemetry
+    grammar, error taxonomy, fingerprint safety, ...), so running it only
     makes sense inside a checkout.
     """
     root = _find_repo_root()
@@ -379,10 +376,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.observe_port is not None:
         scenarios = [
             replace(s, observe_port=args.observe_port) for s in scenarios
-        ]
-    if args.backend is not None:
-        scenarios = [
-            replace(s, backend=args.backend) for s in scenarios
         ]
     overrides = _external_overrides(args)
     if overrides:
@@ -611,14 +604,6 @@ def _flow_parent() -> argparse.ArgumentParser:
         help="vector-fitting kernel: stacked batched LAPACK (default) or "
         "the per-column reference loops",
     )
-    parent.add_argument(
-        "--backend",
-        choices=["auto", "numpy", "cupy", "jax", "array_api_strict"],
-        default="auto",
-        help="array backend for the dense kernels: auto (default; prefers "
-        "an installed accelerator backend), numpy, cupy, jax or "
-        "array_api_strict",
-    )
     parent.add_argument("--weight-mode", choices=["relative", "absolute"],
                         default="relative")
     parent.add_argument("--refinement-rounds", type=int, default=3)
@@ -743,13 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_checker_flags(p_camp, override=True)
     p_camp.add_argument(
-        "--backend",
-        choices=["auto", "numpy", "cupy", "jax", "array_api_strict"],
-        default=None,
-        help="array backend for every scenario's dense kernels "
-        "(overrides the campaign spec; default: leave spec values)",
-    )
-    p_camp.add_argument(
         "--profile", action="store_true",
         help="print each run's per-stage pipeline timings and enforcement "
         "breakdown (check vs. QP vs. model rebuild)",
@@ -801,9 +779,9 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="run the repo's static-analysis pass (tools/reprolint)",
         description="AST-based invariant checks over the checkout: "
-        "backend routing, telemetry hygiene, error taxonomy, fingerprint "
-        "safety, import hygiene.  Exit 0 clean, 1 findings, 2 usage "
-        "error.  Requires running inside the repository.",
+        "telemetry hygiene, error taxonomy, fingerprint safety.  Exit 0 "
+        "clean, 1 findings, 2 usage error.  Requires running inside the "
+        "repository.",
     )
     p_lint.add_argument(
         "paths", nargs="*", metavar="PATH",

@@ -300,21 +300,6 @@ def _render_campaign(payload: Mapping) -> list[str]:
                 lines.append(f"    {key}: {blas[key]}")
         else:
             lines.append(f"    {blas}")
-    backend = meta.get("backend")
-    if backend:
-        lines += _section("Array backend")
-        if isinstance(backend, Mapping):
-            for key in sorted(backend):
-                value = backend[key]
-                if isinstance(value, Mapping):
-                    detail = ", ".join(
-                        f"{k}={value[k]}" for k in sorted(value)
-                    )
-                    lines.append(f"    {key}: {detail}")
-                else:
-                    lines.append(f"    {key}: {value}")
-        else:
-            lines.append(f"    {backend}")
     return lines
 
 

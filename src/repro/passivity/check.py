@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.backend import active_backend
 from repro.statespace.hamiltonian import imaginary_eigenvalue_frequencies
 from repro.statespace.poleresidue import PoleResidueModel
 
@@ -72,11 +71,8 @@ class PassivityReport:
 
 
 def _sigma_max(model: PoleResidueModel, omega: np.ndarray) -> np.ndarray:
-    backend = active_backend()
     response = model.frequency_response(omega)
-    return backend.from_device(
-        backend.svd(backend.asarray(response), compute_uv=False)
-    )[:, 0]
+    return np.linalg.svd(response, compute_uv=False)[:, 0]
 
 
 def asymptotic_violation_report(

@@ -24,8 +24,8 @@ extension for per-element weighting schemes.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
-from repro.backend import active_backend
 from repro.statespace.gramians import controllability_gramian
 from repro.statespace.poleresidue import PoleResidueModel
 
@@ -91,11 +91,8 @@ class BlockDiagonalCost:
             np.einsum("abii->ab", self._blocks) / self._n, 1e-300
         )
         shifted = self._blocks + (self._ridge * scale)[:, :, None, None] * eye
-        backend = active_backend()
         try:
-            self._chol = backend.from_device(
-                backend.cholesky(backend.asarray(shifted))
-            )
+            self._chol = np.linalg.cholesky(shifted)
             return
         except np.linalg.LinAlgError:
             pass
@@ -104,19 +101,19 @@ class BlockDiagonalCost:
         for a in range(shape[0]):
             for b in range(shape[1]):
                 try:
-                    self._chol[a, b] = np.linalg.cholesky(shifted[a, b])  # reprolint: disable=backend-routing -- per-block host repair ladder after the batched backend cholesky
+                    self._chol[a, b] = np.linalg.cholesky(shifted[a, b])
                     continue
                 except np.linalg.LinAlgError:
                     pass
                 block = self._blocks[a, b]
-                eigenvalues, vectors = np.linalg.eigh(0.5 * (block + block.T))  # reprolint: disable=backend-routing -- eigenvalue floor repair of one indefinite block; host-only rescue path
+                eigenvalues, vectors = np.linalg.eigh(0.5 * (block + block.T))
                 top = max(float(eigenvalues[-1]), 1e-300)
                 floor = max(self._ridge, 1e-14) * top
                 clipped = np.maximum(eigenvalues, floor)
                 repaired = (vectors * clipped) @ vectors.T
                 self._blocks[a, b] = repaired
                 try:
-                    self._chol[a, b] = np.linalg.cholesky(  # reprolint: disable=backend-routing -- last rung of the per-block repair ladder; host-only rescue path
+                    self._chol[a, b] = np.linalg.cholesky(
                         repaired + floor * eye
                     )
                 except np.linalg.LinAlgError as exc:
@@ -149,9 +146,8 @@ class BlockDiagonalCost:
     def solve(self, a: int, b: int, rhs: np.ndarray) -> np.ndarray:
         """Solve G_ab x = rhs (rhs may have multiple columns)."""
         key = (0, 0) if self._shared else (a, b)
-        backend = active_backend()
-        return backend.from_device(
-            backend.cho_solve(backend.asarray(self._chol[key]), rhs)
+        return scipy.linalg.cho_solve(
+            (self._chol[key], True), rhs, check_finite=False
         )
 
     def solve_all(self, rhs: np.ndarray) -> np.ndarray:
@@ -170,21 +166,18 @@ class BlockDiagonalCost:
         if rhs.shape[:3] != (p, p, n):
             raise ValueError(f"rhs must have shape ({p},{p},{n}[,K])")
         k = rhs.shape[3]
-        backend = active_backend()
         if self._shared:
             stacked = rhs.transpose(2, 0, 1, 3).reshape(n, p * p * k)
-            out = backend.from_device(
-                backend.cho_solve(backend.asarray(self._chol[0, 0]), stacked)
+            out = scipy.linalg.cho_solve(
+                (self._chol[0, 0], True), stacked, check_finite=False
             )
             out = out.reshape(n, p, p, k).transpose(1, 2, 0, 3)
         else:
             out = np.empty_like(rhs)
             for a in range(p):
                 for b in range(p):
-                    out[a, b] = backend.from_device(
-                        backend.cho_solve(
-                            backend.asarray(self._chol[a, b]), rhs[a, b]
-                        )
+                    out[a, b] = scipy.linalg.cho_solve(
+                        (self._chol[a, b], True), rhs[a, b], check_finite=False
                     )
         return out[..., 0] if squeeze else out
 
@@ -308,23 +301,12 @@ def sampled_norm_cost(
         theta[:] = 1.0
     # Batched kernels k(omega) = (j omega I - A_e)^-1 b_e, then one
     # weighted sum of rank-1 terms.
-    backend = active_backend()
     systems = 1j * omega[:, None, None] * eye - a_e
-    kernels = backend.from_device(
-        backend.solve(
-            backend.asarray(systems),
-            backend.asarray(b_e.astype(complex)[None, :, None]),
-        )
+    kernels = np.linalg.solve(
+        systems, b_e.astype(complex)[None, :, None]
     )[..., 0]
     coeff = (theta / (2.0 * np.pi)) * weights**2
     block = np.real(
-        backend.from_device(
-            backend.einsum(
-                "k,km,kn->mn",
-                backend.asarray(coeff),
-                backend.asarray(np.conj(kernels)),
-                backend.asarray(kernels),
-            )
-        )
+        np.einsum("k,km,kn->mn", coeff, np.conj(kernels), kernels)
     )
     return BlockDiagonalCost(block, model.n_ports, ridge=ridge)

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.backend import use_backend, validate_backend_name
 from repro.obs import telemetry as obs
 from repro.passivity.check import PassivityReport
 from repro.passivity.cost import BlockDiagonalCost
@@ -77,11 +76,6 @@ class EnforcementOptions:
         certified worst-sigma so far) tolerated before the loop stops
         early and falls back to the best iterate.  Catches diverging and
         oscillating runs without waiting out the iteration cap.
-    backend:
-        Array backend the dense kernels of this run execute on
-        (``"auto"``/``"numpy"``/``"cupy"``/``"jax"``; see
-        :mod:`repro.backend`).  ``"auto"`` picks the first available
-        accelerator and otherwise numpy.
     """
 
     max_iterations: int = 30
@@ -93,7 +87,6 @@ class EnforcementOptions:
     checker_strategy: str = "fast"
     exact_every: int = 5
     divergence_patience: int = 3
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
@@ -108,7 +101,6 @@ class EnforcementOptions:
             raise ValueError("checker_strategy must be 'fast' or 'exact'")
         if self.exact_every < 0:
             raise ValueError("exact_every must be non-negative")
-        validate_backend_name(self.backend)
 
     def checker_options(self) -> CheckerOptions:
         """Engine configuration implied by these options."""
@@ -218,21 +210,6 @@ def enforce_passivity(
         ``"weighted"``) in telemetry convergence events.
     """
     options = options or EnforcementOptions()
-    with use_backend(options.backend):
-        return _run_enforcement(
-            model, cost, options,
-            initial_report=initial_report, cost_label=cost_label,
-        )
-
-
-def _run_enforcement(
-    model: PoleResidueModel,
-    cost: BlockDiagonalCost,
-    options: EnforcementOptions,
-    *,
-    initial_report: PassivityReport | None,
-    cost_label: str,
-) -> EnforcementResult:
     if cost.n_ports != model.n_ports:
         raise ValueError("cost and model disagree on port count")
     if cost.n_states != model.element_state_dimension():

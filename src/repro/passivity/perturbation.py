@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import active_backend
 from repro.statespace.poleresidue import PoleResidueModel
 
 
@@ -139,18 +138,11 @@ def build_constraints(
         return empty
 
     # Batched SVDs and element kernels over all frequencies at once.
-    backend = active_backend()
     responses = model.frequency_response(frequencies)  # (K, P, P)
-    u, sigma, vh = (
-        backend.from_device(part)
-        for part in backend.svd(backend.asarray(responses))
-    )
+    u, sigma, vh = np.linalg.svd(responses)
     systems = 1j * frequencies[:, None, None] * eye - a_e
-    kernels = backend.from_device(
-        backend.solve(
-            backend.asarray(systems),
-            backend.asarray(b_e.astype(complex)[None, :, None]),
-        )
+    kernels = np.linalg.solve(
+        systems, b_e.astype(complex)[None, :, None]
     )[..., 0]  # (K, N)
 
     # Row order matches the scalar loop: frequency-major, then singular

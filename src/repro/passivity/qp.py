@@ -41,13 +41,9 @@ The dense route (explicit M + scipy NNLS, the pre-engine code path)
 remains both as the fallback and as the solver for per-element
 (non-shared) costs, whose H^-1 does not factor over the tensor structure.
 
-Backend note: the QP's heavy dense work -- every ``H^-1`` application,
-i.e. the Cholesky solves behind :class:`_StructuredOps`'s kernel tables
-and the primal recovery -- runs on the active array backend through
-:meth:`BlockDiagonalCost.solve` (see :mod:`repro.backend`).  The
-active-set bookkeeping and the tiny working-set NNLS solves stay on host
-LAPACK deliberately: they operate on working sets of at most a few dozen
-rows, where device dispatch overhead dwarfs the arithmetic.
+Every ``H^-1`` application -- the Cholesky solves behind
+:class:`_StructuredOps`'s kernel tables and the primal recovery -- goes
+through :meth:`BlockDiagonalCost.solve`.
 """
 
 from __future__ import annotations
@@ -112,7 +108,7 @@ def _dual_nnls_dense(
     m = f @ y
     m = 0.5 * (m + m.T)
     m_reg = m + ridge * np.eye(m.shape[0])
-    r = scipy.linalg.cholesky(m_reg, lower=False, check_finite=False)  # reprolint: disable=backend-routing -- dense NNLS dual route is a documented host-LAPACK path (see module docstring)
+    r = scipy.linalg.cholesky(m_reg, lower=False, check_finite=False)
     # min_lambda>=0 1/2 l^T M l + g^T l  ==  min ||R l + R^-T g||^2 / 2
     rhs = scipy.linalg.solve_triangular(
         r, -g, trans="T", lower=False, check_finite=False
@@ -149,7 +145,7 @@ def _nnls_gram(
                 sub, -q[active], assume_a="pos", check_finite=False
             )
         except (scipy.linalg.LinAlgError, ValueError):
-            return np.linalg.lstsq(sub, -q[active], rcond=None)[0]  # reprolint: disable=backend-routing -- active-set rescue inside the host-LAPACK NNLS solver (see module docstring)
+            return np.linalg.lstsq(sub, -q[active], rcond=None)[0]
 
     max_iter = 5 * n + 100
     outer = 0

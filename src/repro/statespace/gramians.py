@@ -7,16 +7,28 @@ makes the raw Schur-based Lyapunov solve lose definiteness to roundoff.
 Balancing the state space with a diagonal similarity before the solve and
 transforming back keeps the result numerically PSD; a residual eigenvalue
 clip guards the enforcement cost construction.
+
+When ``A`` has an eigenvalue pair summing to (nearly) zero, scipy solves a
+perturbed equation and only warns.  That rescue is counted as
+``fallback.lyapunov_perturbed`` and emitted as an event of the same name
+instead of passing silently.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import scipy.linalg
 
+from repro.obs import telemetry as obs
+
+#: Text of scipy's warning when ?TRSYL perturbs a near-singular problem.
+_PERTURBED_MARKER = "perturbing the coefficients"
+
 
 def _check_stable(a: np.ndarray, context: str) -> None:
-    eigenvalues = np.linalg.eigvals(a)  # reprolint: disable=backend-routing -- stability precheck for the host-only scipy Lyapunov solver
+    eigenvalues = np.linalg.eigvals(a)
     worst = float(np.max(eigenvalues.real)) if eigenvalues.size else -np.inf
     if worst >= 0.0:
         raise ValueError(
@@ -32,7 +44,7 @@ def ensure_psd(matrix: np.ndarray, *, clip_ratio: float = 1e-14) -> np.ndarray:
     indefiniteness (eigenvalues more negative than that) raises.
     """
     sym = 0.5 * (matrix + matrix.T)
-    eigenvalues, vectors = np.linalg.eigh(sym)  # reprolint: disable=backend-routing -- PSD projection beside the host-only scipy Lyapunov solver
+    eigenvalues, vectors = np.linalg.eigh(sym)
     top = float(eigenvalues[-1]) if eigenvalues.size else 0.0
     if top <= 0.0:
         return np.zeros_like(sym)
@@ -55,7 +67,20 @@ def _balanced_lyapunov(a: np.ndarray, q_rhs: np.ndarray) -> np.ndarray:
     balanced, transform = scipy.linalg.matrix_balance(a, separate=False)
     t_inv = np.linalg.inv(transform)
     q_scaled = t_inv @ q_rhs @ t_inv.T
-    p_scaled = scipy.linalg.solve_continuous_lyapunov(balanced, -q_scaled)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        p_scaled = scipy.linalg.solve_continuous_lyapunov(balanced, -q_scaled)
+    for warning in caught:
+        if issubclass(warning.category, RuntimeWarning) and (
+            _PERTURBED_MARKER in str(warning.message)
+        ):
+            obs.incr("fallback.lyapunov_perturbed")
+            obs.emit("fallback.lyapunov_perturbed", n_states=a.shape[0])
+        else:
+            warnings.warn_explicit(
+                warning.message, warning.category,
+                warning.filename, warning.lineno,
+            )
     p = transform @ p_scaled @ transform.T
     return 0.5 * (p + p.T)
 

@@ -36,8 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from repro.backend import active_backend
 from repro.statespace.system import StateSpaceModel
 
 
@@ -198,10 +198,7 @@ def half_size_crossings(
     same singular-value verification then weeds out false candidates.
     ``p`` is overwritten by the eigensolver.
     """
-    backend = active_backend()
-    eigenvalues = backend.from_device(
-        backend.eigvals(backend.asarray(p), overwrite=True)
-    )
+    eigenvalues = scipy.linalg.eigvals(p, check_finite=False, overwrite_a=True)
     magnitude = np.abs(eigenvalues)
     accept = (eigenvalues.real < 0.0) & (
         np.abs(eigenvalues.imag)
@@ -218,11 +215,8 @@ def _verified_crossings(
 ) -> np.ndarray:
     """Candidates kept when a singular value actually sits at gamma."""
     # Verify: at a true crossing the closest singular value equals gamma.
-    backend = active_backend()
     response = response_fn(omegas)
-    sigma = backend.from_device(
-        backend.svd(backend.asarray(response), compute_uv=False)
-    )
+    sigma = np.linalg.svd(response, compute_uv=False)
     verified = (
         np.min(np.abs(sigma - gamma), axis=1) <= 1e-4 * max(gamma, 1.0)
     )
@@ -245,10 +239,7 @@ def imaginary_crossings(
     ill-conditioned Hamiltonian.  ``m`` is overwritten by the eigensolver
     (callers pass a freshly assembled matrix).
     """
-    backend = active_backend()
-    eigenvalues = backend.from_device(
-        backend.eigvals(backend.asarray(m), overwrite=True)
-    )
+    eigenvalues = scipy.linalg.eigvals(m, check_finite=False, overwrite_a=True)
     imag = eigenvalues.imag
     accept = (imag > 0.0) & (
         np.abs(eigenvalues.real) <= rel_tol * np.abs(eigenvalues) + abs_tol
@@ -301,5 +292,5 @@ def is_passive_hamiltonian(
     crossings = imaginary_eigenvalue_frequencies(model, gamma)
     if crossings.size:
         return False
-    sigma0 = float(np.linalg.svd(model.transfer_at(0.0), compute_uv=False)[0])  # reprolint: disable=backend-routing -- one P-by-P SVD at DC for the certificate; not a batched kernel
+    sigma0 = float(np.linalg.svd(model.transfer_at(0.0), compute_uv=False)[0])
     return sigma0 <= 1.0

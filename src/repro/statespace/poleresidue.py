@@ -329,18 +329,11 @@ class PoleResidueModel:
         """
         from repro.statespace.system import StateSpaceModel
 
-        from repro.backend import active_backend
-
-        backend = active_backend()
         p = self.n_ports
         a_e, b_e = self.element_dynamics()
         eye = np.eye(p)
-        a = backend.from_device(
-            backend.kron(backend.asarray(a_e), backend.asarray(eye))
-        )
-        b = backend.from_device(
-            backend.kron(backend.asarray(b_e[:, None]), backend.asarray(eye))
-        )
+        a = np.kron(a_e, eye)
+        b = np.kron(b_e[:, None], eye)
         c = self.full_output_matrix()
         return StateSpaceModel(a, b, c, self._const.copy())
 

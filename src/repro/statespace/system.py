@@ -61,7 +61,7 @@ class StateSpaceModel:
         """Eigenvalues of A."""
         if self.n_states == 0:
             return np.zeros(0, dtype=complex)
-        return np.linalg.eigvals(self.a)  # reprolint: disable=backend-routing -- pole diagnostics accessor, not on the enforcement hot path
+        return np.linalg.eigvals(self.a)
 
     def is_stable(self, tol: float = 0.0) -> bool:
         """True when all eigenvalues of A are strictly in the LHP."""

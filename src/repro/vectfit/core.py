@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.backend import active_backend, use_backend
 from repro.obs import telemetry as obs
 from repro.resilience import faultinject
 from repro.resilience.errors import FitDivergedError
@@ -295,7 +294,7 @@ def _sigma_compress_reference(
             rhs = h * w
         a_real = _realify(block)
         rhs_real = _realify(rhs.reshape(-1, 1))[:, 0]
-        _, r = np.linalg.qr(np.column_stack([a_real, rhs_real]))  # reprolint: disable=backend-routing -- reference oracle kernel, pinned byte-stable for equivalence tests
+        _, r = np.linalg.qr(np.column_stack([a_real, rhs_real]))
         rows_list.append(r[cols_model : cols_model + cols_sigma, cols_model:-1])
         rhs_list.append(r[cols_model : cols_model + cols_sigma, -1])
     return np.stack(rows_list), np.stack(rhs_list)
@@ -346,13 +345,7 @@ def _sigma_compress_batched(
         a1[:, :n] = phi_scaled * w[:, None]
         if options.fit_const:
             a1[:, n] = w
-        backend = active_backend()
-        q1, _ = (
-            backend.from_device(part)
-            for part in backend.qr_reduced(
-                backend.asarray(kernels.realify_rows(a1))
-            )
-        )
+        q1, _ = np.linalg.qr(kernels.realify_rows(a1))
         a2 = np.empty((m, k, cols_sigma + extra), dtype=complex)
         a2[:, :, :n] = -hw[:, :, None] * phi_scaled[None, :, :]
         if options.relaxed:
@@ -362,7 +355,7 @@ def _sigma_compress_batched(
         a2r = kernels.realify_rows(a2)  # (M, 2K, cols_sigma + extra)
         z = np.matmul(q1.T, a2r)
         a2p = a2r - np.matmul(q1, z)
-        r = backend.from_device(backend.qr_r(backend.asarray(a2p)))
+        r = np.linalg.qr(a2p, mode="r")
         # One-sided block Gram-Schmidt loses *relative* accuracy on
         # columns nearly inside span(A1) (flat scattering entries put
         # whole sigma blocks there), but the pooled normal equations sum
@@ -396,8 +389,7 @@ def _sigma_compress_batched(
     else:
         block[:, :, -1] = hw
     stacked = kernels.realify_rows(block)  # (M, 2K, C)
-    backend = active_backend()
-    r = backend.from_device(backend.qr_r(backend.asarray(stacked)))
+    r = np.linalg.qr(stacked, mode="r")
     rows = faultinject.corrupt(
         "vf.relocate_batched",
         r[:, cols_model : cols_model + cols_sigma,
@@ -438,11 +430,7 @@ def _solve_sigma_poles(
         g = np.vstack([g, scale * row])
         rhs = np.concatenate([rhs, [scale * k]])
 
-    backend = active_backend()
-    solution = backend.from_device(
-        backend.lstsq(backend.asarray(g), backend.asarray(rhs))
-    )
-    solution = solution / sigma_scale
+    solution = np.linalg.lstsq(g, rhs, rcond=None)[0] / sigma_scale
     if options.relaxed:
         c_sigma, d_sigma = solution[:n], float(solution[n])
         if abs(d_sigma) < options.min_sigma_d:
@@ -451,11 +439,7 @@ def _solve_sigma_poles(
         c_sigma, d_sigma = solution[:n], 1.0
 
     a_sig, b_sig = _sigma_dynamics(poles)
-    zeros = backend.from_device(
-        backend.eigvals(
-            backend.asarray(a_sig - np.outer(b_sig, c_sigma) / d_sigma)
-        )
-    )
+    zeros = np.linalg.eigvals(a_sig - np.outer(b_sig, c_sigma) / d_sigma)
     if options.stable:
         positive = omega[omega > 0.0]
         floor = float(positive.min()) * 1e-6 if positive.size else 1e-6
@@ -822,11 +806,7 @@ def _characterize(
     const = const_flat.reshape(p, p)
     margin = options.asymptotic_passivity_margin
     if options.fit_const and margin > 0.0 and not options.dc_exact:
-        backend = active_backend()
-        u, sigma, vh = (
-            backend.from_device(part)
-            for part in backend.svd(backend.asarray(const))
-        )
+        u, sigma, vh = np.linalg.svd(const)
         limit = 1.0 - margin
         if sigma[0] > limit:
             # Band-limited data leaves D unconstrained above the last
@@ -931,17 +911,6 @@ def fit_many(
         Shared algorithm options (one model order for all sets).
     """
     options = options or VFOptions()
-    with use_backend(options.backend):
-        return _fit_many_resolved(omega, samples, weights, options)
-
-
-def _fit_many_resolved(
-    omega: np.ndarray,
-    samples: list[np.ndarray],
-    weights: list[np.ndarray | None] | None,
-    options: VFOptions,
-) -> list[VFResult]:
-    """Body of :func:`fit_many`, run with the selected backend active."""
     omega = check_frequency_grid(np.asarray(omega, dtype=float))
     if not samples:
         return []

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import active_backend
 from repro.obs import telemetry as obs
 
 #: Relative diagonal threshold below which a QR-compressed slice is
@@ -60,10 +59,7 @@ def scaled_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     residue identification); the result is then ``(C, M)``.
     """
     norms = column_scales(a)
-    backend = active_backend()
-    solution = backend.from_device(
-        backend.lstsq(backend.asarray(a / norms), backend.asarray(b))
-    )
+    solution = np.linalg.lstsq(a / norms, b, rcond=None)[0]
     if solution.ndim == 1:
         return solution / norms
     return solution / norms[:, None]
@@ -89,26 +85,17 @@ def batched_qr_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # (never hit by the VF call sites) so no batching effort.
         return np.stack([scaled_lstsq(a[i], b[i]) for i in range(m)])
     norms = column_scales(a)
-    backend = active_backend()
     scaled = a / norms[:, None, :]
-    r = backend.from_device(
-        backend.qr_r(
-            backend.asarray(np.concatenate([scaled, b[:, :, None]], axis=2))
-        )
-    )
+    r = np.linalg.qr(np.concatenate([scaled, b[:, :, None]], axis=2), mode="r")
     r11 = r[:, :cols, :cols]
     rhs = r[:, :cols, cols]
     diag = np.abs(np.diagonal(r11, axis1=1, axis2=2))
     ok = diag.min(axis=1) > _RANK_TOL * np.maximum(diag.max(axis=1), 1e-300)
     solution = np.empty((m, cols))
     if np.any(ok):
-        solution[ok] = backend.from_device(
-            backend.solve(
-                backend.asarray(r11[ok]), backend.asarray(rhs[ok, :, None])
-            )
-        )[:, :, 0]
+        solution[ok] = np.linalg.solve(r11[ok], rhs[ok, :, None])[:, :, 0]
     for index in np.flatnonzero(~ok):
-        solution[index], *_ = np.linalg.lstsq(  # reprolint: disable=backend-routing -- per-column host rescue ladder below the batched backend solve
+        solution[index], *_ = np.linalg.lstsq(
             scaled[index], b[index], rcond=None
         )
     # Last rung of the per-slice ladder: a triangular solve that passed
@@ -119,7 +106,7 @@ def batched_qr_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if np.any(bad):
         obs.incr("fallback.kernel_lstsq", int(bad.sum()))
         for index in np.flatnonzero(bad):
-            solution[index], *_ = np.linalg.lstsq(  # reprolint: disable=backend-routing -- per-column host rescue ladder below the batched backend solve
+            solution[index], *_ = np.linalg.lstsq(
                 scaled[index], b[index], rcond=None
             )
     return solution / norms

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import active_backend
 from repro.statespace.system import StateSpaceModel
 from repro.util.logging import get_logger
 from repro.util.validation import check_frequency_grid
@@ -120,13 +119,8 @@ def _relocate_real(
     d_sigma = float(solution[2 * n + 1])
     if abs(d_sigma) < min_sigma_d:
         d_sigma = min_sigma_d if d_sigma >= 0.0 else -min_sigma_d
-    backend = active_backend()
-    zeros = backend.from_device(
-        backend.eigvals(
-            backend.asarray(
-                np.diag(poles_x) - np.outer(np.ones(n), c_sigma) / d_sigma
-            )
-        )
+    zeros = np.linalg.eigvals(
+        np.diag(poles_x) - np.outer(np.ones(n), c_sigma) / d_sigma
     )
     # Project onto the negative real x-axis (poles of a magnitude-squared
     # function must sit at x = -q^2).

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import validate_backend_name
 
 
 @dataclass(frozen=True)
@@ -61,13 +60,6 @@ class VFOptions:
         compute the same math on the same operands and agree to roundoff
         (``reference`` is kept as the equivalence oracle for tests and
         benchmarks).
-    backend:
-        Array backend used for the dense kernels: ``"auto"`` (default;
-        prefers an installed accelerator backend, falling back to numpy),
-        ``"numpy"``, ``"cupy"``, ``"jax"`` or ``"array_api_strict"``.
-        All backends compute the same math; non-numpy backends fall back
-        to numpy per-operation on device failure (see
-        :mod:`repro.backend`).
     """
 
     n_poles: int = 12
@@ -82,7 +74,6 @@ class VFOptions:
     asymptotic_passivity_margin: float = 1e-4
     dc_exact: bool = False
     kernel: str = "batched"
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.n_poles < 1:
@@ -101,4 +92,3 @@ class VFOptions:
             raise ValueError(
                 f"kernel must be 'batched' or 'reference', got {self.kernel!r}"
             )
-        validate_backend_name(self.backend)

@@ -67,3 +67,10 @@ def make_random_stable_model(rng, n_real=1, n_pairs=2, n_ports=2, scale=1.0):
         idx += 2
     const = rng.normal(size=(n_ports, n_ports)) * 0.1
     return PoleResidueModel(poles, residues, const)
+
+
+def rel_rms(a, b):
+    """Relative RMS difference of ``a`` against the reference ``b``."""
+    a, b = np.asarray(a), np.asarray(b)
+    scale = max(float(np.sqrt(np.mean(np.abs(b) ** 2))), 1e-300)
+    return float(np.sqrt(np.mean(np.abs(a - b) ** 2))) / scale

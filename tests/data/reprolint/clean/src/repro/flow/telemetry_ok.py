@@ -3,8 +3,8 @@
 from repro import obs
 
 
-def instrumented(backend_name):
+def instrumented(strategy):
     with obs.span("stage:fit"):
         obs.incr("vf.iterations")  # registered counter
         obs.emit("vf.converged", iterations=3)
-        obs.gauge(f"backend.active.{backend_name}", 1)
+        obs.gauge(f"checker.strategy.{strategy}", 1)

@@ -1,14 +1,16 @@
 """Fixture: whole-file suppression via disable-file (clean).
 
-# reprolint: disable-file=backend-routing -- reference oracle kernels stay on host LAPACK
+# reprolint: disable-file=telemetry-hygiene -- legacy span names kept for an external dashboard
 """
 
-import numpy as np
+from repro import obs
 
 
 def oracle_eig(matrix):
-    return np.linalg.eig(matrix)
+    with obs.span("eig"):
+        return matrix
 
 
 def oracle_svd(matrix):
-    return np.linalg.svd(matrix)
+    with obs.span("svd"):
+        return matrix

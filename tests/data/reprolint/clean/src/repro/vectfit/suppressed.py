@@ -1,13 +1,13 @@
-"""Fixture: documented host paths behind line pragmas (clean)."""
+"""Fixture: documented legacy names behind line pragmas (clean)."""
 
-import numpy as np
+from repro import obs
 
 
 def rescue(lhs, rhs):
-    solution, *_ = np.linalg.lstsq(  # reprolint: disable=backend-routing -- per-column host rescue
-        lhs, rhs, rcond=None,
-    )
-    values = np.linalg.eigvals(
-        lhs,
-    )  # reprolint: disable=backend-routing -- pragma on the call's last physical line
-    return solution, values
+    with obs.span(  # reprolint: disable=telemetry-hygiene -- legacy span name
+        "rescue",
+    ):
+        obs.emit(
+            "Rescue",
+        )  # reprolint: disable=telemetry-hygiene -- pragma on the call's last physical line
+    return lhs, rhs

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class ScenarioSpec:
     name: str
-    backend: str = "numpy"
+    vf_kernel: str = "batched"
 
     def to_dict(self):
         return {"name": self.name}

@@ -159,7 +159,7 @@ class TestLegacyEquivalence:
         assert flow_fingerprint(
             tc.data, tc.termination, tc.observe_port, FlowOptions()
         ) == (
-            "aadb9b88d9e55c7b025f8b5fe232b5732797d5233d47157cc3e13b9c6c1eb503"
+            "8bcaeaa4cf6d74705aec1f1861627dd86e8f59db34d5c8062974dca96407f978"
         )
 
         f = np.linspace(1e6, 1e9, 5)
@@ -169,7 +169,7 @@ class TestLegacyEquivalence:
         data = NetworkData(frequencies=f, samples=s)
         term = build_termination("0=r(50);1=r(50)", 2, observe_port=0)
         assert flow_fingerprint(data, term, 0, FlowOptions()) == (
-            "5d754d6c82b4ebda2d1bd06bac980e88ddbe6ca6eacff7754bf3e85f8efdfc96"
+            "f6f2335af4775700f153ab1487f756a2378a02ba5201094942b7131bf143d9ce"
         )
 
 

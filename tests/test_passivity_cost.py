@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from repro.passivity.cost import BlockDiagonalCost, l2_gramian_cost, sampled_norm_cost
 from repro.statespace.gramians import controllability_gramian
-from tests.conftest import make_random_stable_model
+from tests.conftest import make_random_stable_model, rel_rms
 
 
 class TestBlockDiagonalCost:
@@ -47,6 +48,20 @@ class TestBlockDiagonalCost:
         cost = BlockDiagonalCost(g, n_ports=1, ridge=1e-10)
         x = cost.solve(0, 0, np.array([1.0, 1.0]))
         assert np.all(np.isfinite(x))
+
+    def test_cost_factorization_matches_scipy_cho_solve(self):
+        rng = np.random.default_rng(2)
+        n, p = 6, 2
+        m = rng.normal(size=(n, n))
+        gram = m @ m.T + n * np.eye(n)
+        ridge = 1e-10
+        cost = BlockDiagonalCost(gram, p, ridge=ridge)
+        rhs = rng.normal(size=(n, 4))
+        routed = cost.solve(0, 0, rhs)
+        shifted = gram + ridge * (np.trace(gram) / n) * np.eye(n)
+        cho = np.linalg.cholesky(shifted)
+        direct = scipy.linalg.cho_solve((cho, True), rhs, check_finite=False)
+        assert rel_rms(routed, direct) <= 1e-10
 
 
 class TestL2GramianCost:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.obs import telemetry_session
 from repro.statespace.gramians import (
     controllability_gramian,
     ensure_psd,
@@ -56,6 +57,25 @@ class TestControllability:
         p = controllability_gramian(a, b)
         eigs = np.linalg.eigvalsh(p)
         assert eigs.min() >= -1e-12 * eigs.max()
+
+    def test_perturbed_lyapunov_solve_is_counted(self):
+        """A nearly marginal pole makes scipy perturb the solve: counted."""
+        a = np.diag([-1.0, -1e-20])  # 2 * (-1e-20) is ~0 next to eps * |A|
+        b = np.ones((2, 1))
+        with telemetry_session(label="t") as tel:
+            controllability_gramian(a, b)
+        assert tel.counters.get("fallback.lyapunov_perturbed") == 1
+        events = [
+            e for e in tel.events
+            if e["event"] == "fallback.lyapunov_perturbed"
+        ]
+        assert [e["n_states"] for e in events] == [2]
+
+    def test_well_conditioned_solve_is_not_counted(self, rng):
+        ss = make_random_stable_model(rng, n_ports=2).to_state_space()
+        with telemetry_session(label="t") as tel:
+            controllability_gramian(ss.a, ss.b)
+        assert "fallback.lyapunov_perturbed" not in tel.counters
 
 
 class TestObservability:

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from repro.statespace.hamiltonian import (
+    half_size_crossings,
+    half_size_from_invariants,
+    half_size_invariants,
     hamiltonian_matrix,
     imaginary_eigenvalue_frequencies,
     is_passive_hamiltonian,
 )
 from repro.statespace.poleresidue import PoleResidueModel
+from tests.conftest import make_random_stable_model
 
 
 def bump_model(gain):
@@ -17,6 +21,17 @@ def bump_model(gain):
     r = gain * 0.5
     residues = np.array([[[r]], [[r]]], dtype=complex)
     return PoleResidueModel(poles, residues, np.zeros((1, 1)))
+
+
+def make_reciprocal_model(seed=3, n_ports=3, n_pairs=4, boost=1.0):
+    """Random stable *reciprocal* model (symmetric residues and const)."""
+    rng = np.random.default_rng(seed)
+    model = make_random_stable_model(
+        rng, n_real=2, n_pairs=n_pairs, n_ports=n_ports
+    )
+    residues = 0.5 * (model.residues + model.residues.transpose(0, 2, 1))
+    const = 0.5 * (model.const + model.const.T) * 0.5
+    return PoleResidueModel(model.poles, residues * boost, const)
 
 
 class TestHamiltonianMatrix:
@@ -77,3 +92,58 @@ class TestVerdict:
             np.array([-1.0]), np.zeros((1, 1, 1), complex), np.array([[1.2]])
         )
         assert not is_passive_hamiltonian(model.to_state_space())
+
+
+class TestHalfSizeHamiltonian:
+    def test_half_size_crossings_match_full_size(self):
+        model = make_reciprocal_model(seed=5, boost=1.9)
+        ss = model.to_state_space()
+        full = imaginary_eigenvalue_frequencies(
+            ss, gamma=1.0, response_fn=model.frequency_response
+        )
+        invariants = half_size_invariants(ss.a, ss.b, ss.d, gamma=1.0)
+        p = half_size_from_invariants(invariants, ss.c)
+        assert p.shape[0] == ss.a.shape[0]  # half of the 2N Hamiltonian
+        half = half_size_crossings(
+            p, model.frequency_response, gamma=1.0
+        )
+        assert half.size == full.size
+        if full.size:
+            assert np.max(np.abs(half - full) / np.maximum(full, 1.0)) <= 1e-6
+
+    def test_half_size_rejects_singular_gamma_shift(self):
+        model = make_reciprocal_model(seed=7)
+        ss = model.to_state_space()
+        d = np.eye(ss.d.shape[0])  # D - gamma*I singular at gamma = 1
+        with pytest.raises(ValueError):
+            half_size_invariants(ss.a, ss.b, d, gamma=1.0)
+
+    def test_engine_uses_half_size_only_for_reciprocal_models(self):
+        from repro.passivity.engine import CheckerOptions, PassivityChecker
+
+        model = make_reciprocal_model(seed=9, boost=1.9)
+        checker = PassivityChecker(
+            model, options=CheckerOptions(strategy="exact")
+        )
+        report = checker.check(model)
+        assert checker.n_half_size_checks == 1
+
+        rng = np.random.default_rng(11)
+        skewed = make_random_stable_model(rng, n_real=2, n_pairs=3, n_ports=3)
+        skewed = PoleResidueModel(
+            skewed.poles, skewed.residues, 0.5 * skewed.const
+        )
+        full_checker = PassivityChecker(
+            skewed, options=CheckerOptions(strategy="exact")
+        )
+        full_checker.check(skewed)
+        assert full_checker.n_half_size_checks == 0  # not reciprocal
+
+        # The half-size report agrees with the full-size oracle check.
+        from repro.passivity.check import check_passivity
+
+        oracle = check_passivity(model)
+        assert report.is_passive == oracle.is_passive
+        assert abs(report.worst_sigma - oracle.worst_sigma) <= 1e-6 * max(
+            oracle.worst_sigma, 1.0
+        )

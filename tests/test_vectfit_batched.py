@@ -24,7 +24,7 @@ from repro.vectfit.core import (
 )
 from repro.vectfit.options import VFOptions
 from repro.vectfit.order_selection import select_model_order
-from tests.conftest import make_random_stable_model
+from tests.conftest import make_random_stable_model, rel_rms
 
 RTOL = 1e-8  # roundoff-only divergence between the two kernels
 
@@ -274,6 +274,30 @@ class TestBatchedQrSolve:
             kernels.batched_qr_solve(
                 rng.normal(size=(2, 10, 3)), rng.normal(size=(2, 9))
             )
+
+
+class TestKernelOracles:
+    """The kernels against a direct numpy replica of the same solve."""
+
+    def test_scaled_lstsq_matches_direct_solver(self):
+        rng = np.random.default_rng(0)
+        # Ill-conditioned columns, like a partial-fraction basis.
+        a = rng.normal(size=(60, 8)) * np.logspace(0, 8, 8)
+        b = rng.normal(size=(60, 3))
+        routed = kernels.scaled_lstsq(a, b)
+        norms = kernels.column_scales(a)
+        direct = np.linalg.lstsq(a / norms, b, rcond=None)[0] / norms[:, None]
+        assert rel_rms(routed, direct) <= 1e-10
+
+    def test_batched_qr_solve_matches_per_slice_lstsq(self):
+        rng = np.random.default_rng(1)
+        a = rng.normal(size=(5, 40, 6)) * np.logspace(0, 5, 6)
+        b = rng.normal(size=(5, 40))
+        routed = kernels.batched_qr_solve(a, b)
+        oracle = np.stack(
+            [np.linalg.lstsq(a[i], b[i], rcond=None)[0] for i in range(5)]
+        )
+        assert rel_rms(routed, oracle) <= 1e-10
 
 
 class TestSharedWeightsDetection:

@@ -2,9 +2,8 @@
 """Public API surface snapshot: dump, check, or update.
 
 Dumps the public names of the API-bearing modules (``repro``,
-``repro.api``, ``repro.backend``, ``repro.campaign``, ``repro.flow``,
-``repro.ingest``, ``repro.obs``, ``repro.passivity``,
-``repro.resilience``) as sorted ``module.name`` lines and diffs
+``repro.api``, ``repro.campaign``, ``repro.flow``, ``repro.ingest``,
+``repro.obs``, ``repro.passivity``, ``repro.resilience``) as sorted ``module.name`` lines and diffs
 them against the committed snapshot ``tests/data/api_surface.txt``, so an
 accidental rename/removal in a future refactor fails CI instead of
 silently breaking downstream users.
@@ -26,9 +25,8 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SNAPSHOT = REPO_ROOT / "tests" / "data" / "api_surface.txt"
-MODULES = ("repro", "repro.api", "repro.backend", "repro.campaign",
-           "repro.flow", "repro.ingest", "repro.obs", "repro.passivity",
-           "repro.resilience")
+MODULES = ("repro", "repro.api", "repro.campaign", "repro.flow",
+           "repro.ingest", "repro.obs", "repro.passivity", "repro.resilience")
 
 
 def public_names(module_name: str) -> list[str]:

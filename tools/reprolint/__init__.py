@@ -3,23 +3,19 @@
 The conventions this package enforces are the ones the test suite and CI
 already *rely on* but could not previously *check*:
 
-* dense numerics in the kernel packages route through ``repro.backend``
-  (``backend-routing``);
 * telemetry names follow the span/counter grammar that ``repro trace``
   and the CI ``run_metrics.json`` assertions parse, and every literal
   counter is committed to a registry (``telemetry-hygiene``);
 * stage code raises the typed ``repro.resilience`` taxonomy so retry
   classification keeps working (``error-taxonomy``);
 * option dataclasses that feed content-addressed digests stay hashable
-  and fully consumed by their digest functions (``fingerprint-safety``);
-* ``repro.backend`` never imports upward into api/campaign/obs
-  (``import-hygiene``).
+  and fully consumed by their digest functions (``fingerprint-safety``).
 
 Run ``python -m tools.reprolint src tests`` from the repository root, or
 ``repro lint``.  Suppress a finding with an inline pragma that carries a
 mandatory reason::
 
-    x = np.linalg.lstsq(a, b)  # reprolint: disable=backend-routing -- host fallback path
+    with obs.span("rescue"):  # reprolint: disable=telemetry-hygiene -- legacy span name
 
 See ``tools/reprolint/README.md`` for the rule catalogue.
 """

@@ -1,18 +1,14 @@
 """Checker registry: every rule reprolint knows about."""
 
-from tools.reprolint.checkers.backend_routing import BackendRoutingChecker
 from tools.reprolint.checkers.error_taxonomy import ErrorTaxonomyChecker
 from tools.reprolint.checkers.fingerprint import FingerprintSafetyChecker
-from tools.reprolint.checkers.import_hygiene import ImportHygieneChecker
 from tools.reprolint.checkers.telemetry import TelemetryHygieneChecker
 
 #: Instantiable rule classes, in catalogue order.
 CHECKER_CLASSES = (
-    BackendRoutingChecker,
     TelemetryHygieneChecker,
     ErrorTaxonomyChecker,
     FingerprintSafetyChecker,
-    ImportHygieneChecker,
 )
 
 
@@ -22,11 +18,9 @@ def default_checkers():
 
 
 __all__ = [
-    "BackendRoutingChecker",
     "TelemetryHygieneChecker",
     "ErrorTaxonomyChecker",
     "FingerprintSafetyChecker",
-    "ImportHygieneChecker",
     "CHECKER_CLASSES",
     "default_checkers",
 ]

@@ -30,9 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reprolint",
         description=(
-            "AST-based invariant checks for the repro codebase: backend "
-            "routing, telemetry hygiene, error taxonomy, fingerprint "
-            "safety, import hygiene."
+            "AST-based invariant checks for the repro codebase: "
+            "telemetry hygiene, error taxonomy, fingerprint safety."
         ),
     )
     parser.add_argument(

@@ -13,12 +13,12 @@ Two forms, both with a **mandatory reason** after ``--``:
 
 * line pragma, on any physical line of the flagged statement::
 
-      # reprolint: disable=backend-routing -- host-LAPACK fallback path
+      # reprolint: disable=error-taxonomy -- caller bug, raised before any stage runs
 
 * file pragma, anywhere in the file (conventionally near the top),
   silencing a rule for the whole module::
 
-      # reprolint: disable-file=backend-routing -- reference oracle kernels
+      # reprolint: disable-file=telemetry-hygiene -- fixture emitting arbitrary names
 
 A pragma without a reason, or naming an unknown rule, is itself reported
 under the reserved ``pragma`` rule (which cannot be suppressed).
@@ -319,51 +319,8 @@ class Engine:
 
 
 # ----------------------------------------------------------------------
-# Shared AST helpers used by several checkers
+# AST helpers for the checkers
 # ----------------------------------------------------------------------
-def import_aliases(tree: ast.Module) -> dict[str, str]:
-    """Map of local name -> dotted module/object path from top-level imports.
-
-    ``import numpy as np`` -> ``{"np": "numpy"}``;
-    ``from scipy import linalg as sla`` -> ``{"sla": "scipy.linalg"}``;
-    ``from numpy.linalg import lstsq`` -> ``{"lstsq": "numpy.linalg.lstsq"}``.
-    Function-scope imports are included too (prefixed resolution is the
-    caller's concern; names are rarely shadowed in this codebase).
-    """
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for name in node.names:
-                if name.asname:
-                    aliases[name.asname] = name.name
-                else:
-                    top = name.name.split(".", 1)[0]
-                    aliases[top] = top
-        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-            for name in node.names:
-                if name.name == "*":
-                    continue
-                aliases[name.asname or name.name] = f"{node.module}.{name.name}"
-    return aliases
-
-
-def dotted_path(node: ast.expr, aliases: dict[str, str]) -> str | None:
-    """Resolve an attribute chain to a dotted path through the alias map.
-
-    ``np.linalg.lstsq`` with ``{"np": "numpy"}`` -> ``"numpy.linalg.lstsq"``.
-    Returns ``None`` for chains not rooted at a plain name.
-    """
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    root = aliases.get(node.id, node.id)
-    parts.append(root)
-    return ".".join(reversed(parts))
-
-
 def literal_str(node: ast.expr) -> list[str]:
     """Literal string values an expression can take (empty when dynamic).
 

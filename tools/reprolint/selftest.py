@@ -18,12 +18,6 @@ from tools.reprolint.core import Engine
 #: rule -> (relative path, violating source).  Paths matter: most rules
 #: are scoped to specific subtrees.
 _VIOLATIONS: dict[str, tuple[str, str]] = {
-    "backend-routing": (
-        "src/repro/vectfit/selftest_mod.py",
-        "import numpy as np\n"
-        "def solve(a, b):\n"
-        "    return np.linalg.lstsq(a, b, rcond=None)\n",
-    ),
     "telemetry-hygiene": (
         "src/repro/selftest_mod.py",
         "from repro import obs\n"
@@ -43,10 +37,6 @@ _VIOLATIONS: dict[str, tuple[str, str]] = {
         "@dataclass(frozen=True)\n"
         "class VFOptions:\n"
         "    tags: list = field(default_factory=list)\n",
-    ),
-    "import-hygiene": (
-        "src/repro/backend/selftest_mod.py",
-        "from repro import campaign\n",
     ),
 }
 
