@@ -258,6 +258,9 @@ class IngestStage(PipelineStage):
     """
 
     name = "ingest"
+    # 2: the raw-data sigma_max sweep moved to the Hermitian Gram kernel
+    # (stored reports' worst_sigma differs in the last bits).
+    version = "2"
     outputs = (A_NETWORK, A_TERMINATION, A_OBSERVE_PORT, A_INGEST_REPORT)
 
     def __init__(
@@ -434,10 +437,16 @@ class EnforceStage(PipelineStage):
 
     Checks the weighted model once (the report doubles as both runs'
     exact iteration-0 certificate) and enforces twice: standard L2 cost
-    (eq. 10) and sensitivity-weighted cost (eqs. 18-21).
+    (eq. 10) and sensitivity-weighted cost (eqs. 18-21).  The pre-check
+    and both runs' ``report_after`` are exact Hamiltonian certificates,
+    which :class:`ValidateStage` reuses as the passivity verdicts of
+    these three models.
     """
 
     name = "enforce"
+    # 2: sigma_max sweeps moved to the Hermitian Gram kernel (stored
+    # reports' sigma values differ in the last bits; models do not).
+    version = "2"
     inputs = (A_WEIGHTED_FIT, A_WEIGHT_MODEL)
     outputs = (A_PRE_REPORT, A_STANDARD_ENFORCED, A_WEIGHTED_ENFORCED)
 
@@ -473,7 +482,12 @@ class EnforceStage(PipelineStage):
 
 
 class ValidateStage(PipelineStage):
-    """Accuracy table and headline metrics of the four model variants."""
+    """Accuracy table and headline metrics of the four model variants.
+
+    Passivity verdicts come from the enforce stage's certificates for the
+    weighted fit and both enforced models; only the standard fit gets a
+    fresh :func:`~repro.passivity.check.check_passivity` call.
+    """
 
     name = "validate"
     inputs = (

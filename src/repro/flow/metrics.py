@@ -105,19 +105,40 @@ def flow_accuracy_rows(
     rows matches the paper's Fig. 5 comparison (standard fit, weighted fit,
     and the two enforced models).  Shared by the CLI ``flow`` command and
     the campaign executor so every surface reports identical numbers.
+
+    The passivity verdicts of the weighted fit and of both enforced models
+    are read from the exact Hamiltonian certificates the flow already
+    holds (``pre_enforcement_report`` and each ``report_after``); only the
+    standard fit, which no earlier stage certifies, is checked here.
     """
     from repro.passivity.check import check_passivity
 
     omega = data.omega
     low_band = (0.0, 2.0 * np.pi * low_band_hz)
     variants = [
-        ("standard VF", result.standard_fit.model),
-        ("weighted VF (non-passive)", result.weighted_fit.model),
-        ("passive, standard cost", result.standard_enforced.model),
-        ("passive, weighted cost", result.weighted_enforced.model),
+        (
+            "standard VF",
+            result.standard_fit.model,
+            check_passivity(result.standard_fit.model).is_passive,
+        ),
+        (
+            "weighted VF (non-passive)",
+            result.weighted_fit.model,
+            result.pre_enforcement_report.is_passive,
+        ),
+        (
+            "passive, standard cost",
+            result.standard_enforced.model,
+            result.standard_enforced.report_after.is_passive,
+        ),
+        (
+            "passive, weighted cost",
+            result.weighted_enforced.model,
+            result.weighted_enforced.report_after.is_passive,
+        ),
     ]
     rows = []
-    for label, model in variants:
+    for label, model, is_passive in variants:
         rows.append(
             ModelAccuracyRow(
                 label=label,
@@ -131,7 +152,7 @@ def flow_accuracy_rows(
                     model, omega, result.reference_impedance, termination,
                     observe_port, band=low_band, z0=data.z0,
                 ),
-                is_passive=check_passivity(model).is_passive,
+                is_passive=is_passive,
             )
         )
     return rows

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.util.linalg import max_singular_values
 from repro.util.validation import check_frequency_grid, check_square_stack
 
 _VALID_KINDS = ("s", "y", "z")
@@ -128,4 +129,4 @@ class NetworkData:
         """
         if self.kind != "s":
             raise ValueError("passivity_metric is defined for scattering data")
-        return np.linalg.svd(self.samples, compute_uv=False)[:, 0]
+        return max_singular_values(self.samples)

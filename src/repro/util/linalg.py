@@ -72,6 +72,37 @@ def solve_hermitian_psd(
     return solution
 
 
+#: Matrices per Gram block of :func:`max_singular_values`; bounds the
+#: extra memory to one block (1.6 MB for 20 x 20 complex matrices).
+#: Larger blocks are no faster and raise a flow's peak RSS.
+_SIGMA_BLOCK = 256
+
+
+def max_singular_values(matrices: np.ndarray) -> np.ndarray:
+    """Largest singular value of every matrix of a (K, m, n) stack.
+
+    Evaluated as ``sqrt(lambda_max(M^H M))`` with a Hermitian eigensolve
+    of each Gram matrix, in blocks of ``_SIGMA_BLOCK`` matrices.  The
+    relative error is O(n eps) -- the same order as the SVD's -- and the
+    Hermitian eigensolve is about 1.5x cheaper than a singular-value
+    decomposition.  Power iteration is no alternative: on PDN responses
+    the two largest singular values are nearly equal.  Matrices with
+    non-finite entries give NaN.
+    """
+    matrices = np.asarray(matrices)
+    lam = np.empty(matrices.shape[0])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start in range(0, matrices.shape[0], _SIGMA_BLOCK):
+            block = matrices[start : start + _SIGMA_BLOCK]
+            gram = block.conj().transpose(0, 2, 1) @ block
+            bad = ~np.isfinite(gram).all(axis=(1, 2))
+            gram[bad] = 0.0
+            top = np.linalg.eigvalsh(gram)[:, -1]
+            top[bad] = np.nan
+            lam[start : start + block.shape[0]] = top
+    return np.sqrt(np.maximum(lam, 0.0))
+
+
 def is_stable_poles(poles: np.ndarray, *, tol: float = 0.0) -> bool:
     """True when every pole has a strictly negative real part (up to tol)."""
     poles = np.asarray(poles)

@@ -318,6 +318,92 @@ class TestStoreAndResume:
             )
 
 
+class CheckCounter(PipelineObserver):
+    """Counts ``check_passivity`` calls per pipeline stage.
+
+    Wraps the function both where the enforce stage bound it at import
+    (``repro.api.stages``) and where validation looks it up at call time
+    (``repro.passivity.check``).
+    """
+
+    def __init__(self, monkeypatch):
+        import repro.api.stages as stages_module
+        import repro.passivity.check as check_module
+
+        self.stage = None
+        self.calls: dict[str, int] = {}
+        for module in (stages_module, check_module):
+            monkeypatch.setattr(
+                module, "check_passivity", self._counting(check_passivity)
+            )
+
+    def _counting(self, fn):
+        def wrapper(*args, **kwargs):
+            self.calls[self.stage] = self.calls.get(self.stage, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def on_stage_start(self, stage):
+        self.stage = stage.name
+
+
+class TestValidationReusesCertificates:
+    """Validation checks only the standard fit; the weighted fit and both
+    enforced models carry exact certificates from the enforce stage."""
+
+    @staticmethod
+    def assert_rows_match_fresh_checks(result):
+        models = [
+            result.standard_fit.model,
+            result.weighted_fit.model,
+            result.standard_enforced.model,
+            result.weighted_enforced.model,
+        ]
+        assert len(result.accuracy_rows) == len(models)
+        for row, model in zip(result.accuracy_rows, models):
+            assert row.is_passive == check_passivity(model).is_passive, (
+                row.label
+            )
+
+    def test_one_check_per_validation(
+        self, coarse, fast_options, tmp_path, monkeypatch
+    ):
+        store = tmp_path / "stages"
+        counter = CheckCounter(monkeypatch)
+        cold = run_flow(
+            coarse.data, coarse.termination, coarse.observe_port,
+            fast_options, store=store, observers=(counter,),
+        )
+        assert counter.calls == {"enforce": 1, "validate": 1}
+        self.assert_rows_match_fresh_checks(cold)
+        assert not cold.accuracy_rows[1].is_passive
+
+        # Full replay: every stage is served from the store.
+        counter.calls.clear()
+        replay = run_flow(
+            coarse.data, coarse.termination, coarse.observe_port,
+            fast_options, store=store, observers=(counter,),
+        )
+        assert counter.calls == {}
+        assert replay.accuracy_rows == cold.accuracy_rows
+        self.assert_rows_match_fresh_checks(replay)
+
+        # Validation recomputed over certificates decoded from the store.
+        counter.calls.clear()
+        revalidated = run_flow(
+            coarse.data, coarse.termination, coarse.observe_port,
+            fast_options, store=store, observers=(counter,),
+            store_stages=("standard_fit", "sensitivity", "weighting", "enforce"),
+        )
+        by_stage = {p["stage"]: p for p in revalidated.stage_provenance}
+        assert by_stage["enforce"]["status"] == "cached"
+        assert by_stage["validate"]["status"] == "computed"
+        assert counter.calls == {"validate": 1}
+        assert revalidated.accuracy_rows == cold.accuracy_rows
+        self.assert_rows_match_fresh_checks(revalidated)
+
+
 class TestGraphAndComposition:
     def test_missing_input_names_the_artifact(self, coarse):
         pipeline = standard_pipeline()
