@@ -31,7 +31,6 @@ import numpy as np
 from repro.campaign import (
     CampaignRegistry,
     CampaignSpec,
-    FlowCache,
     ScenarioSpec,
     run_campaign,
     save_campaign,
@@ -136,7 +135,7 @@ def test_tabH_campaign_scaling(artifacts_dir, tmp_path):
     started = time.perf_counter()
     serial = run_campaign(
         sub, registry=CampaignRegistry(tmp_path / "serial8"),
-        cache=FlowCache(tmp_path / "cacheS"), jobs=1,
+        cache=tmp_path / "cacheS", jobs=1,
     )
     t_serial8 = time.perf_counter() - started
     assert serial.n_ok == 8
@@ -147,7 +146,7 @@ def test_tabH_campaign_scaling(artifacts_dir, tmp_path):
     started = time.perf_counter()
     parallel = run_campaign(
         sub, registry=CampaignRegistry(tmp_path / "parallel8"),
-        cache=FlowCache(tmp_path / "cacheP"), jobs=_JOBS,
+        cache=tmp_path / "cacheP", jobs=_JOBS,
     )
     t_parallel8 = time.perf_counter() - started
     assert parallel.n_ok == 8

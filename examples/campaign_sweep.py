@@ -22,7 +22,6 @@ from pathlib import Path
 from repro.campaign import (
     CampaignRegistry,
     CampaignSpec,
-    FlowCache,
     ScenarioSpec,
     campaign_report,
     default_jobs,
@@ -65,7 +64,7 @@ def main():
           f"{default_jobs()} workers\n")
 
     registry = CampaignRegistry(out / "registry")
-    cache = FlowCache(out / "cache")
+    cache = out / "cache"
 
     started = time.perf_counter()
     result = run_campaign(spec, registry=registry, cache=cache,

@@ -39,7 +39,6 @@ from repro.api import (
 )
 from repro.campaign import (
     CampaignSpec,
-    FlowCache,
     ScenarioSpec,
     run_campaign,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "ReproConfig",
     "standard_pipeline",
     "CampaignSpec",
-    "FlowCache",
     "ScenarioSpec",
     "run_campaign",
     "FlowOptions",

@@ -10,11 +10,12 @@ top of that:
   can be derived from *content* (the same scattering data always produces
   the same standard-fit key, whatever scenario or file name delivered it).
 * **Persistence** -- :class:`ArtifactStore` is a content-addressed
-  key-value store of stage outputs (in-memory, optionally mirrored to a
-  directory), generalizing the campaign flow cache down to individual
-  stage results: any stage becomes individually cacheable and resumable,
-  and cross-scenario sharing (e.g. one standard fit serving a whole
-  termination sweep) is a store hit instead of bespoke executor plumbing.
+  key-value store (in-memory, optionally mirrored to a directory) and the
+  repository's only one: any stage becomes individually cacheable and
+  resumable, cross-scenario sharing (e.g. one standard fit serving a
+  whole termination sweep) is a store hit, and a campaign keeps each
+  scenario's whole run in it under
+  :meth:`repro.api.pipeline.Pipeline.run_key`.
 
 Encoding is exact: numpy arrays are serialized as raw little-endian bytes
 (base64), so a decoded artifact is *byte-identical* to what was stored --
@@ -22,8 +23,8 @@ a resumed pipeline continues from exactly the numbers the interrupted run
 produced.  Dataclass artifacts (fit results, passivity reports,
 enforcement outcomes, ...) are encoded field-by-field through a type
 registry; terminations go through the canonical
-:func:`repro.pdn.spec.termination_to_dict` codec so the store can never
-disagree with the flow-cache fingerprint about what a termination *is*.
+:func:`repro.pdn.spec.termination_to_dict` codec, the same one the
+termination specs of campaigns and CLI files are written in.
 """
 
 from __future__ import annotations
@@ -200,19 +201,20 @@ def artifact_digest(value) -> str:
 
 
 class ArtifactStore:
-    """Content-addressed store of stage outputs.
+    """Content-addressed store of stage outputs and whole runs.
 
     Entries map a stage result key (see
     :meth:`repro.api.stages.PipelineStage.result_key`) to the dict of
-    output artifacts that stage produced.  Lookups consult a process-local
+    output artifacts that stage produced, or a run key (see
+    :meth:`repro.api.pipeline.Pipeline.run_key`) to a campaign run's
+    ``{"model", "record"}``.  Lookups consult a process-local
     memory layer first (so repeated pipelines in one process share decoded
     objects for free); when ``root`` is given, entries are mirrored to
     disk with atomic writes (temp file + rename), making results durable
     across processes and sessions -- the resume story.
 
-    The on-disk layout mirrors :class:`repro.campaign.cache.FlowCache`
-    (two-level fan-out of JSON files), and a corrupt entry behaves like a
-    miss, never an error.
+    On disk, entries are JSON files under a two-level fan-out by key
+    prefix, and a corrupt entry behaves like a miss, never an error.
     """
 
     def __init__(self, root: str | Path | None = None) -> None:

@@ -18,9 +18,10 @@ defaults, which keeps old config files readable by newer versions).
 
 Deprecation shim: every pre-existing entry point keeps accepting a bare
 :class:`FlowOptions`; :meth:`ReproConfig.coerce` upgrades either form, and
-:meth:`ReproConfig.flow_options` recovers the legacy object, so the
-content-addressed flow-cache fingerprints (which hash ``FlowOptions``)
-are unchanged by this layer.
+:meth:`ReproConfig.flow_options` recovers the legacy object.  Whole-run
+store keys (:meth:`repro.api.pipeline.Pipeline.run_key`) digest the full
+:meth:`ReproConfig.to_dict`, hence every ``FlowOptions`` field through
+:func:`options_to_dict`.
 """
 
 from __future__ import annotations
@@ -143,8 +144,7 @@ class ReproConfig:
     ----------
     flow:
         Macromodeling flow options (vector fitting, weighting scheme,
-        passivity enforcement) -- the object the flow-cache fingerprint
-        hashes, unchanged.
+        passivity enforcement).
     ingest:
         Data-conditioning options applied by :class:`~repro.api.stages.
         IngestStage` when the pipeline starts from a Touchstone file.
@@ -171,7 +171,7 @@ class ReproConfig:
     # Deprecation shims (legacy FlowOptions call sites)
     # ------------------------------------------------------------------
     def flow_options(self) -> FlowOptions:
-        """The legacy flow-options object (cache fingerprints hash this)."""
+        """The legacy flow-options object."""
         return self.flow
 
     @classmethod

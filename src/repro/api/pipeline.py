@@ -25,15 +25,21 @@ Pipelines are immutable and composable: :meth:`Pipeline.with_stage`
 inserts a custom stage relative to an existing one and
 :meth:`Pipeline.replace_stage` swaps an implementation (e.g. an
 alternative weighting law), each returning a new validated pipeline.
+
+:meth:`Pipeline.run_key` keys a *whole* run the same way a stage result
+is keyed: the campaign executor stores each scenario's passive model and
+run record in the same store under it.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.api.artifacts import ArtifactStore
+from repro.api.artifacts import ArtifactStore, artifact_digest
 from repro.api.config import ReproConfig
 from repro.api.stages import PipelineStage, standard_stages
 from repro.obs import telemetry as obs
@@ -46,6 +52,8 @@ _LOG = get_logger(__name__)
 STATUS_SEEDED = "seeded"
 STATUS_CACHED = "cached"
 STATUS_COMPUTED = "computed"
+
+_RUN_KEY_FORMAT = "repro.run-key/1"
 
 
 @dataclass(frozen=True)
@@ -196,8 +204,8 @@ class Pipeline:
     ) -> None:
         """``store_stages`` restricts which stages use the store (both
         lookup and write); ``None`` means every cacheable stage.  Callers
-        that already have a coarser result cache (the campaign executor's
-        flow cache) use it to persist only the stages whose sharing they
+        that store whole runs under :meth:`run_key` (the campaign
+        executor) use it to persist only the stages whose sharing they
         exploit, instead of double-writing every heavy artifact."""
         self.stages: tuple[PipelineStage, ...] = tuple(stages)
         self.store = store
@@ -286,6 +294,29 @@ class Pipeline:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def run_key(self, config: ReproConfig | None, seed: dict) -> str:
+        """Content-addressed store key of a whole run of this pipeline.
+
+        A SHA-256 over every stage's identity (name, concrete class,
+        ``version``), the full configuration and the content digest of
+        each seeded artifact.  Bumping any stage's ``version`` therefore
+        retires every stored run that stage took part in, exactly as it
+        retires the stage's own store entries.
+        """
+        payload = {
+            "format": _RUN_KEY_FORMAT,
+            "stages": [
+                [stage.name,
+                 f"{type(stage).__module__}.{type(stage).__qualname__}",
+                 stage.version]
+                for stage in self.stages
+            ],
+            "config": ReproConfig.coerce(config).to_dict(),
+            "seed": {name: artifact_digest(value) for name, value in seed.items()},
+        }
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode()).hexdigest()
+
     def run(
         self,
         config: ReproConfig | None = None,

@@ -6,16 +6,15 @@ into a batch engine:
 * :mod:`repro.campaign.scenario` -- declarative scenario/campaign specs
   with Cartesian grid expansion and JSON persistence;
 * :mod:`repro.campaign.executor` -- process-parallel execution with
-  failure isolation and deterministic run IDs;
-* :mod:`repro.campaign.cache` -- content-addressed caching so re-running
-  a campaign skips already-computed flows;
+  failure isolation and deterministic run IDs; whole runs are cached in
+  the content-addressed :class:`~repro.api.artifacts.ArtifactStore`, so
+  re-running a campaign skips already-computed flows;
 * :mod:`repro.campaign.registry` -- on-disk result store (manifests,
   model artifacts, query/aggregation helpers);
 * :mod:`repro.campaign.report` -- campaign-level accuracy/passivity
   summary tables.
 """
 
-from repro.campaign.cache import CachedRun, FlowCache, flow_fingerprint
 from repro.campaign.executor import (
     CampaignResult,
     default_blas_threads,
@@ -36,9 +35,6 @@ from repro.campaign.scenario import (
 )
 
 __all__ = [
-    "CachedRun",
-    "FlowCache",
-    "flow_fingerprint",
     "CampaignResult",
     "default_blas_threads",
     "default_jobs",

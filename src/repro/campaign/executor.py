@@ -2,9 +2,11 @@
 
 The unit of work is :func:`execute_scenario`: a module-level function (so
 it pickles to :class:`~concurrent.futures.ProcessPoolExecutor` workers)
-that builds the scenario's PDN variant, consults the content-addressed
-cache, runs the sensitivity-weighted flow on a miss, and returns a plain
-JSON-compatible run record plus the passive model.
+that builds the scenario's PDN variant, looks its whole run up in the
+campaign's content-addressed :class:`~repro.api.artifacts.ArtifactStore`
+(under :meth:`~repro.api.pipeline.Pipeline.run_key`), runs the
+sensitivity-weighted flow on a miss, and returns a plain JSON-compatible
+run record plus the passive model.
 
 Failure isolation is two-layered: the worker converts any exception into a
 ``status="failed"`` record (one diverging scenario never aborts the
@@ -25,11 +27,10 @@ Two batch-level optimizations live in :func:`run_campaign`:
   groups pending scenarios by standard-fit fingerprint and computes one
   fit per group through :func:`repro.vectfit.core.fit_many`.  Delivery is
   store-level: with caching enabled the fits are written into the
-  campaign's content-addressed :class:`~repro.api.artifacts.ArtifactStore`
-  under :class:`~repro.api.stages.StandardFitStage`'s own content key, and
-  every worker's pipeline picks them up as ordinary stage cache hits (the
-  same mechanism that makes re-runs resume stage by stage).  Without a
-  cache directory the fits are shipped to workers by value, as before.
+  campaign's store under :class:`~repro.api.stages.StandardFitStage`'s own
+  content key, and every worker's pipeline picks them up as ordinary stage
+  cache hits.  Without a cache directory the fits are shipped to workers
+  by value.
 """
 
 from __future__ import annotations
@@ -44,11 +45,11 @@ from pathlib import Path
 
 from repro.api.artifacts import ArtifactStore
 from repro.api.config import ReproConfig
+from repro.api.pipeline import standard_pipeline
 from repro.api.stages import StandardFitStage
-from repro.campaign.cache import FlowCache, flow_fingerprint
 from repro.campaign.registry import CampaignRegistry
 from repro.campaign.scenario import CampaignSpec, ScenarioSpec
-from repro.flow.macromodel import run_flow
+from repro.flow.macromodel import FlowOptions, run_flow
 from repro.flow.metrics import accuracy_table
 from repro.obs import telemetry as obs
 from repro.obs.metrics import build_campaign_metrics, write_metrics_files
@@ -149,35 +150,38 @@ def default_jobs() -> int:
     return max(1, min(os.cpu_count() or 1, 8))
 
 
-def _stage_store_dir(cache_dir: str | None) -> str | None:
-    """Per-stage artifact store location implied by a flow-cache directory.
+def _run_key(data, termination, observe_port: int, options: FlowOptions) -> str:
+    """Store key of one scenario's whole-run entry.
 
-    Lives inside the cache directory (``<cache>/stages``) so ``--no-cache``
-    disables both layers together and cache cleanup removes both.  The
-    extra directory level keeps the two stores' fan-out globs disjoint.
+    The one place a campaign derives it: :func:`execute_scenario` looks
+    the run up under it and :func:`_group_fully_cached` probes it.
     """
-    if cache_dir is None:
-        return None
-    return str(Path(cache_dir) / "stages")
+    seed = {
+        "network": data,
+        "termination": termination,
+        "observe_port": int(observe_port),
+    }
+    return standard_pipeline().run_key(ReproConfig.from_flow_options(options), seed)
 
 
 def execute_scenario(
     scenario: ScenarioSpec,
-    cache_dir: str | None = None,
+    store: str | None = None,
     standard_fit: VFResult | None = None,
-    stage_store: str | None = None,
     telemetry_dir: str | None = None,
     attempt: int = 0,
 ) -> tuple[dict, PoleResidueModel | None]:
     """Run one scenario end-to-end; never raises.
 
-    ``standard_fit`` optionally injects the scenario's precomputed
-    standard vector fit (shared across scenarios reusing the same
-    scattering data); a fit whose order does not match the scenario's
-    options is ignored rather than trusted.  ``stage_store`` optionally
-    points the flow pipeline at a content-addressed per-stage artifact
-    store, so individual stage results (the standard fit in particular)
-    are reused across scenarios and campaign re-runs.  ``telemetry_dir``
+    ``store`` is the directory of the campaign's content-addressed
+    :class:`~repro.api.artifacts.ArtifactStore`: a whole run found there
+    under :func:`_run_key` is served without running the flow, a computed
+    one is stored as ``{"model", "record"}``, and the standard-fit stage
+    is read from and written to it, so shared and earlier fits are
+    reused.  ``standard_fit`` optionally injects the scenario's
+    precomputed standard vector fit (shared across scenarios reusing the
+    same scattering data); a fit whose order does not match the
+    scenario's options is ignored rather than trusted.  ``telemetry_dir``
     opens a per-run telemetry session whose events stream to a sidecar
     ``events-scenario-<run_id>-<pid>.jsonl`` file in that directory and
     whose summary rides along in ``record["telemetry"]`` (merged into
@@ -199,8 +203,7 @@ def execute_scenario(
             write_metrics=False,
         ) as tel:
             record, model = execute_scenario(
-                scenario, cache_dir, standard_fit, stage_store,
-                attempt=attempt,
+                scenario, store, standard_fit, attempt=attempt,
             )
             record["telemetry"] = tel.snapshot()
         return record, model
@@ -244,19 +247,17 @@ def execute_scenario(
             standard_fit = None
             record["environment"]["shared_standard_fit"] = False
 
-        cache = FlowCache(cache_dir) if cache_dir else None
+        artifacts = ArtifactStore(store) if store else None
         key = None
-        if cache is not None:
-            key = flow_fingerprint(
-                testcase.data, testcase.termination, observe_port, options
-            )
-            cached = cache.get(key)
+        if artifacts is not None:
+            key = _run_key(testcase.data, testcase.termination, observe_port, options)
+            cached = artifacts.get(key)
             if cached is not None:
                 record.update(
                     status="ok",
                     cache_hit=True,
-                    metrics=cached.record.get("metrics"),
-                    accuracy_table=cached.record.get("accuracy_table"),
+                    metrics=cached["record"].get("metrics"),
+                    accuracy_table=cached["record"].get("accuracy_table"),
                     timings={
                         "testcase_s": build_s,
                         "flow_s": 0.0,
@@ -265,18 +266,18 @@ def execute_scenario(
                     cache_key=key,
                 )
                 _LOG.info("run %s: cache hit (%s)", record["run_id"], key[:12])
-                return record, cached.model
+                return record, cached["model"]
 
         boundary = "flow"
         flow_start = time.perf_counter()
-        # The flow cache above already makes whole runs resumable, so the
-        # per-stage store is restricted to the one stage whose sharing
-        # the campaign exploits: persisting every heavy enforcement
-        # artifact per scenario would roughly double a cold campaign's
-        # wall time for no additional reuse.
+        # The whole-run entry already makes runs resumable, so the stage
+        # store is restricted to the one stage whose sharing the campaign
+        # exploits: persisting every heavy enforcement artifact per
+        # scenario would roughly double a cold campaign's wall time for no
+        # additional reuse.
         result = run_flow(testcase.data, testcase.termination,
                           observe_port, options, standard_fit=standard_fit,
-                          store=stage_store,
+                          store=artifacts,
                           store_stages=("standard_fit",))
         flow_s = time.perf_counter() - flow_start
         table = accuracy_table(list(result.accuracy_rows))
@@ -307,8 +308,8 @@ def execute_scenario(
             cache_key=key,
         )
         model = result.weighted_enforced.model
-        if cache is not None and key is not None:
-            cache.put(key, model, record)
+        if artifacts is not None:
+            artifacts.put(key, {"model": model, "record": record})
         _LOG.info(
             "run %s: ok in %.2fs (max relZ weighted cost %.4f)",
             record["run_id"],
@@ -397,9 +398,8 @@ def _run_pool(
     max_workers: int,
     worker_log_level: int | None,
     worker_blas: int | None,
-    cache_dir: str | None,
+    store: str | None,
     prefit,
-    stage_store: str | None,
     telemetry_dir: str | None,
     budget_ok,
     note_retry,
@@ -448,8 +448,8 @@ def _run_pool(
             else None
         )
         future = pool.submit(
-            execute_scenario, scenario, cache_dir, prefit(scenario),
-            stage_store, telemetry_dir, attempt,
+            execute_scenario, scenario, store, prefit(scenario),
+            telemetry_dir, attempt,
         )
         pending[future] = (scenario, attempt, deadline)
 
@@ -701,19 +701,21 @@ def _member_observe_port(scenario: ScenarioSpec, base) -> int:
     return scenario.resolve_observe_port(base)
 
 
-def _group_fully_cached(base, members: list[ScenarioSpec], cache) -> bool:
+def _group_fully_cached(
+    base, members: list[ScenarioSpec], store: ArtifactStore
+) -> bool:
     """True when every scenario of a prefit group will be a cache hit.
 
-    Fingerprinting reuses the group's already-built base testcase: the
+    Keying reuses the group's already-built base testcase: the
     termination construction is cheap (no MNA solve, no file re-read), so
-    probing the content-addressed cache costs hashing only.  A member
-    whose fingerprint cannot even be computed (e.g. an invalid
-    termination spec) counts as a miss: the group is prefit and the bad
-    scenario fails inside execute_scenario's isolation, not here.
+    probing the store costs hashing only.  A member whose key cannot even
+    be computed (e.g. an invalid termination spec) counts as a miss: the
+    group is prefit and the bad scenario fails inside execute_scenario's
+    isolation, not here.
     """
     for scenario in members:
         try:
-            fingerprint = flow_fingerprint(
+            key = _run_key(
                 base.data,
                 _member_termination(scenario, base),
                 _member_observe_port(scenario, base),
@@ -721,22 +723,21 @@ def _group_fully_cached(base, members: list[ScenarioSpec], cache) -> bool:
             )
         except Exception:  # noqa: BLE001 -- probe must never abort the run
             return False
-        if fingerprint not in cache:
+        if key not in store:
             return False
     return True
 
 
 def _shared_standard_fits(
     scenarios: list[ScenarioSpec],
-    cache: FlowCache | None = None,
     store: ArtifactStore | None = None,
 ) -> dict[tuple, VFResult]:
     """One standard fit per group of scenarios sharing scattering data.
 
     Only groups with at least two members are prefit (a singleton gains
-    nothing from precomputation), and a group whose every member is
-    already served by the content-addressed flow cache is skipped -- a
-    warm-cache campaign pays for fingerprint hashing, not for fits.
+    nothing from precomputation), and a group whose every member already
+    has a whole-run entry in ``store`` is skipped -- a warm-cache
+    campaign pays for key hashing, not for fits.
     Groups sharing a frequency grid and VF configuration -- e.g. several
     PDN sizes swept together, or external data files exported on one
     grid -- are fitted in a single :func:`fit_many` call, which
@@ -745,10 +746,10 @@ def _shared_standard_fits(
     missing data file) is skipped here so the failure stays isolated to
     its own scenarios.
 
-    ``store`` additionally publishes each prefit into the per-stage
-    artifact store under :class:`~repro.api.stages.StandardFitStage`'s
-    content key, so worker pipelines consume them as ordinary stage
-    cache hits instead of pickled arguments.
+    ``store`` also receives each prefit under
+    :class:`~repro.api.stages.StandardFitStage`'s content key, so worker
+    pipelines consume them as ordinary stage cache hits instead of
+    pickled arguments.
     """
     members_of: dict[tuple, list[ScenarioSpec]] = {}
     for scenario in scenarios:
@@ -770,7 +771,7 @@ def _shared_standard_fits(
                 exc,
             )
             continue
-        if cache is not None and _group_fully_cached(base, members, cache):
+        if store is not None and _group_fully_cached(base, members, store):
             obs.incr("campaign.prefit_cached_groups")
             _LOG.info(
                 "shared standard fits: group %s fully cached, skipped", key
@@ -817,7 +818,7 @@ def _shared_standard_fits(
             )
             store.put(stage_key, {"standard_fit": fit})
         _LOG.info(
-            "shared standard fits: %d published to the stage store",
+            "shared standard fits: %d published to the store",
             len(prefits),
         )
     return prefits
@@ -827,7 +828,7 @@ def run_campaign(
     spec: CampaignSpec | list[ScenarioSpec],
     *,
     registry: CampaignRegistry | None = None,
-    cache: FlowCache | str | None = None,
+    cache: ArtifactStore | str | Path | None = None,
     scenarios: list[ScenarioSpec] | None = None,
     jobs: int = 1,
     resume: bool = False,
@@ -854,7 +855,9 @@ def run_campaign(
         Result store; run records, model artifacts and the manifest are
         written as results arrive.  ``None`` disables persistence.
     cache:
-        Content-addressed flow cache (or a path for one); ``None``
+        The campaign's content-addressed store (an on-disk
+        :class:`~repro.api.artifacts.ArtifactStore` or its directory):
+        whole runs and shared standard fits live there.  ``None``
         disables caching.
     jobs:
         Worker processes; ``1`` runs serially in-process (deterministic
@@ -941,7 +944,7 @@ def _run_campaign_impl(
     spec: CampaignSpec | list[ScenarioSpec],
     *,
     registry: CampaignRegistry | None = None,
-    cache: FlowCache | str | None = None,
+    cache: ArtifactStore | str | Path | None = None,
     scenarios: list[ScenarioSpec] | None = None,
     jobs: int = 1,
     resume: bool = False,
@@ -978,11 +981,13 @@ def _run_campaign_impl(
         unique.append(scenario)
     scenarios = unique
 
-    cache_dir = None
-    if isinstance(cache, FlowCache):
-        cache_dir = str(cache.root)
-    elif cache is not None:
-        cache_dir = str(FlowCache(cache).root)
+    store = None
+    if cache is not None:
+        store = cache if isinstance(cache, ArtifactStore) else ArtifactStore(cache)
+        if store.root is None:
+            # Workers open the store by path.
+            raise ValueError("the campaign cache must be on disk")  # reprolint: disable=error-taxonomy -- API-usage validation at dispatch time, not a scenario failure
+    store_dir = None if store is None else str(store.root)
 
     started = time.perf_counter()
     by_id: dict[str, dict] = {}
@@ -1031,15 +1036,10 @@ def _run_campaign_impl(
             " (cache hit)" if record.get("cache_hit") else "",
         )
 
-    stage_store = _stage_store_dir(cache_dir)
     prefits: dict[tuple, VFResult] = {}
     if share_fits and len(todo) > 1:
         prefit_start = time.perf_counter()
-        prefits = _shared_standard_fits(
-            todo,
-            FlowCache(cache_dir) if cache_dir else None,
-            store=ArtifactStore(stage_store) if stage_store else None,
-        )
+        prefits = _shared_standard_fits(todo, store)
         if prefits:
             _LOG.info(
                 "shared standard fits: %d computed in %.2fs",
@@ -1050,7 +1050,7 @@ def _run_campaign_impl(
     def _prefit(scenario: ScenarioSpec) -> VFResult | None:
         # Store-published prefits reach workers as stage cache hits; only
         # store-less campaigns ship the fit object by value.
-        if stage_store is not None:
+        if store is not None:
             return None
         return prefits.get(_standard_fit_key(scenario))
 
@@ -1121,7 +1121,7 @@ def _run_campaign_impl(
             attempt = 0
             while True:
                 record, model = execute_scenario(
-                    scenario, cache_dir, _prefit(scenario), stage_store,
+                    scenario, store_dir, _prefit(scenario),
                     telemetry_dir, attempt=attempt,
                 )
                 if (
@@ -1157,7 +1157,7 @@ def _run_campaign_impl(
             })
         _run_pool(
             todo, policy, max_workers, worker_log_level, worker_blas,
-            cache_dir, _prefit, stage_store, telemetry_dir,
+            store_dir, _prefit, telemetry_dir,
             _budget_ok, _note_retry, _finalize, _failed_record,
         )
 

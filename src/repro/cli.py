@@ -351,7 +351,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
     from repro.campaign import (
         CampaignRegistry,
-        FlowCache,
         campaign_report,
         default_jobs,
         filter_scenarios,
@@ -412,8 +411,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     registry = CampaignRegistry(out)
     cache = None
     if not args.no_cache:
-        cache_dir = args.cache_dir or (Path(args.output_dir) / "cache")
-        cache = FlowCache(cache_dir)
+        cache = args.cache_dir or str(Path(args.output_dir) / "cache")
 
     jobs = args.jobs if args.jobs is not None else default_jobs()
     try:
@@ -467,7 +465,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 )
     print(f"registry      : {out}")
     if cache is not None:
-        print(f"cache         : {cache.root} ({len(cache)} entries)")
+        print(f"cache         : {cache}")
     if args.telemetry is not None:
         print(
             f"telemetry     : {Path(args.telemetry) / 'run_metrics.json'}"
@@ -707,13 +705,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_camp.add_argument(
         "--no-cache", action="store_true",
-        help="disable the content-addressed flow and stage caches",
+        help="disable the content-addressed store of runs and standard fits",
     )
     p_camp.add_argument(
         "--cache-dir", default=None,
-        help="cache location (default: <output-dir>/cache, shared "
-        "across campaigns; per-stage artifacts live in its stages/ "
-        "subdirectory)",
+        help="store location (default: <output-dir>/cache, shared "
+        "across campaigns)",
     )
     p_camp.add_argument("--output-dir", default="campaigns")
     p_camp.add_argument(

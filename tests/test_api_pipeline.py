@@ -149,17 +149,17 @@ class TestLegacyEquivalence:
         result = run_flow(data, termination, 1, options)
         assert_matches_legacy(result, legacy)
 
-    def test_flow_cache_fingerprints_unchanged(self):
-        """Flow-cache keys are pinned: campaign re-runs keep hitting."""
-        from repro.campaign.cache import flow_fingerprint
+    def test_run_keys_pinned(self):
+        """Whole-run store keys are pinned: campaign re-runs keep hitting."""
         from repro.ingest.termination import build_termination
         from repro.sparams.network import NetworkData
 
+        pipeline = standard_pipeline()
         tc = make_paper_testcase(n_frequencies=11, include_dc=False)
-        assert flow_fingerprint(
-            tc.data, tc.termination, tc.observe_port, FlowOptions()
-        ) == (
-            "8bcaeaa4cf6d74705aec1f1861627dd86e8f59db34d5c8062974dca96407f978"
+        seed = {"network": tc.data, "termination": tc.termination,
+                "observe_port": tc.observe_port}
+        assert pipeline.run_key(FlowOptions(), seed) == (
+            "8d192813db9775b6b04fd1824ed49a278f66a1203b749c0958c95b7d910aa14d"
         )
 
         f = np.linspace(1e6, 1e9, 5)
@@ -168,8 +168,9 @@ class TestLegacyEquivalence:
             s[i] = np.array([[0.1 + 0.01j * i, 0.02], [0.02, 0.1 - 0.005j * i]])
         data = NetworkData(frequencies=f, samples=s)
         term = build_termination("0=r(50);1=r(50)", 2, observe_port=0)
-        assert flow_fingerprint(data, term, 0, FlowOptions()) == (
-            "f6f2335af4775700f153ab1487f756a2378a02ba5201094942b7131bf143d9ce"
+        seed = {"network": data, "termination": term, "observe_port": 0}
+        assert pipeline.run_key(FlowOptions(), seed) == (
+            "e2f5551079020eb2ee22bd08ed7b437a47a8d099c39bd792be2192ac55383b44"
         )
 
 

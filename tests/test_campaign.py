@@ -1,12 +1,15 @@
 """Campaign subsystem: scenario grids, executor, cache, registry, CLI."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from repro.campaign.cache import FlowCache, flow_fingerprint
+from repro.api.artifacts import ArtifactStore
+from repro.api.stages import EnforceStage
 from repro.campaign.executor import (
+    _run_key,
     _shared_standard_fits,
     _standard_fit_key,
     default_blas_threads,
@@ -190,7 +193,7 @@ def campaign_env(tmp_path_factory):
         {"weight_mode": ["relative", "absolute"]},
     )
     registry = CampaignRegistry(root / "registry")
-    cache = FlowCache(root / "cache")
+    cache = ArtifactStore(root / "cache")
     result = run_campaign(spec, registry=registry, cache=cache, jobs=1)
     return {"root": root, "spec": spec, "registry": registry,
             "cache": cache, "result": result}
@@ -226,12 +229,27 @@ class TestExecutor:
         assert result.n_cache_hits == 2
         for record in result.records:
             assert record["timings"]["flow_s"] == 0.0
-        # Metrics survive the cache round-trip.
+        # Models, metrics and accuracy tables survive the store exactly.
         original = {r["run_id"]: r for r in campaign_env["result"].records}
         for record in result.records:
-            assert record["metrics"] == pytest.approx(
-                original[record["run_id"]]["metrics"]
-            )
+            cold = original[record["run_id"]]
+            assert record["metrics"] == cold["metrics"]
+            assert record["accuracy_table"] == cold["accuracy_table"]
+            warm_model, _ = registry.load_model(record["run_id"])
+            cold_model, _ = campaign_env["registry"].load_model(record["run_id"])
+            for attr in ("poles", "residues", "const"):
+                assert (getattr(warm_model, attr).tobytes()
+                        == getattr(cold_model, attr).tobytes())
+
+    def test_cache_is_one_artifact_store(self, campaign_env):
+        # Whole runs and the shared standard fit are entries of one store
+        # at the cache directory itself.
+        root = campaign_env["cache"].root
+        store = ArtifactStore(root)
+        entries = {frozenset(store.get(p.stem)) for p in root.glob("*/*.json")}
+        assert entries == {frozenset({"model", "record"}),
+                           frozenset({"standard_fit"})}
+        assert not (root / "stages").exists()
 
     def test_resume_skips_completed(self, campaign_env):
         result = run_campaign(
@@ -302,7 +320,7 @@ class TestBatchOptimizations:
         # must not pay for the shared standard fit again.
         scenarios = [fast_scenario("c1", decap_c_scale=0.5),
                      fast_scenario("c2", decap_c_scale=2.0)]
-        cache = FlowCache(tmp_path / "cache")
+        cache = ArtifactStore(tmp_path / "cache")
         run_campaign(list(scenarios), cache=cache, jobs=1)
         assert _shared_standard_fits(list(scenarios), cache) == {}
         # A cold member keeps the group's prefit alive.
@@ -366,26 +384,48 @@ class TestCacheAndFingerprint:
         testcase = make_variant_testcase("small", n_frequencies=16,
                                          include_dc=False)
         options = FlowOptions(vf=VFOptions(n_poles=4))
-        key = flow_fingerprint(testcase.data, testcase.termination, 0, options)
-        assert key == flow_fingerprint(testcase.data, testcase.termination,
-                                       0, options)
-        assert key != flow_fingerprint(testcase.data, testcase.termination,
-                                       1, options)
-        assert key != flow_fingerprint(
+        key = _run_key(testcase.data, testcase.termination, 0, options)
+        assert key == _run_key(testcase.data, testcase.termination, 0, options)
+        assert key != _run_key(testcase.data, testcase.termination, 1, options)
+        assert key != _run_key(
             testcase.data, testcase.termination, 0,
             FlowOptions(vf=VFOptions(n_poles=5)),
         )
         perturbed = perturb_termination(testcase.termination,
                                         decap_c_scale=2.0)
-        assert key != flow_fingerprint(testcase.data, perturbed, 0, options)
+        assert key != _run_key(testcase.data, perturbed, 0, options)
+        other = make_variant_testcase("small", n_frequencies=17,
+                                      include_dc=False)
+        assert key != _run_key(other.data, testcase.termination, 0, options)
 
-    def test_corrupt_entry_is_a_miss(self, campaign_env):
-        cache = campaign_env["cache"]
-        paths = list(cache.root.glob("*/*.json"))
-        assert paths
-        key = paths[0].stem
-        paths[0].write_text("{not json", encoding="utf-8")
-        assert cache.get(key) is None
+    def test_stage_version_bump_recomputes(self, tmp_path, monkeypatch):
+        # A new stage version must retire every stored run it took part
+        # in: a warm campaign recomputes instead of replaying records
+        # that the old code produced.
+        scenarios = [fast_scenario("v1", decap_c_scale=0.5),
+                     fast_scenario("v2", decap_c_scale=2.0)]
+        cache = tmp_path / "cache"
+        cold = run_campaign(list(scenarios), cache=cache, jobs=1)
+        warm = run_campaign(list(scenarios), cache=cache, jobs=1)
+        assert cold.n_ok == warm.n_cache_hits == 2
+        monkeypatch.setattr(EnforceStage, "version", EnforceStage.version + ".1")
+        bumped = run_campaign(list(scenarios), cache=cache, jobs=1)
+        assert bumped.n_ok == 2
+        assert not any(record["cache_hit"] for record in bumped.records)
+        for before, after in zip(cold.records, bumped.records):
+            assert before["cache_key"] != after["cache_key"]
+
+    def test_corrupt_entry_is_a_miss(self, campaign_env, tmp_path):
+        # A copy: the shared cache stays intact for the other tests.
+        record = campaign_env["result"].records[0]
+        shutil.copytree(campaign_env["cache"].root, tmp_path / "cache")
+        store = ArtifactStore(tmp_path / "cache")
+        store.path(record["cache_key"]).write_text("{not json", encoding="utf-8")
+        assert store.get(record["cache_key"]) is None
+        # The next campaign recomputes that run and rewrites its entry.
+        rerun = run_campaign(campaign_env["spec"], cache=store.root, jobs=1)
+        assert rerun.n_ok == 2 and rerun.n_cache_hits == 1
+        assert ArtifactStore(store.root).get(record["cache_key"]) is not None
 
 
 class TestRegistry:

@@ -365,14 +365,14 @@ def test_scenario_external_fields_require_data_file_at_build():
 
 
 def test_external_campaign_runs_with_cache(tmp_path):
-    from repro.campaign import CampaignSpec, FlowCache, run_campaign
+    from repro.campaign import CampaignSpec, run_campaign
 
     spec = CampaignSpec.from_axes(
         "external-sweep",
         base=_fast_external_scenario(),
         axes={"termination_spec": ["0=r(1);1=rlc(r=0.2,c=1e-6)", "*=r(50)"]},
     )
-    cache = FlowCache(tmp_path / "cache")
+    cache = tmp_path / "cache"
     result = run_campaign(spec, cache=cache, jobs=1)
     assert result.n_runs == 2
     assert result.n_failed == 0
@@ -397,9 +397,9 @@ def test_external_campaign_missing_file_fails_in_isolation(tmp_path):
 def test_external_campaign_bad_spec_isolated_on_warm_cache(tmp_path):
     """A member whose termination spec cannot even be fingerprinted must
     fail alone, also when its prefit group probes a warm cache."""
-    from repro.campaign import FlowCache, run_campaign
+    from repro.campaign import run_campaign
 
-    cache = FlowCache(tmp_path / "cache")
+    cache = tmp_path / "cache"
     good = _fast_external_scenario(name="good")
     run_campaign([good], cache=cache, jobs=1)  # warm the cache
     bad = _fast_external_scenario(

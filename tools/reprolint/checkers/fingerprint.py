@@ -1,8 +1,9 @@
 """fingerprint-safety: digest-fed option dataclasses stay sound.
 
-The flow cache, stage store and campaign registry all key on
-content-addressed digests of option dataclasses
-(:func:`repro.campaign.cache.flow_fingerprint`,
+The artifact store (stage and whole-run keys) and the campaign registry
+key on content-addressed digests of option dataclasses
+(:func:`repro.api.config.options_to_dict` via
+:meth:`repro.api.config.ReproConfig.to_dict` and
 :func:`repro.api.config.options_token`,
 :meth:`repro.campaign.scenario.ScenarioSpec.run_id`).  Two invariants
 keep those keys trustworthy:
@@ -50,7 +51,7 @@ WATCHED = (
     Watched("EnforcementOptions", "repro/passivity/enforce.py",
             "repro/api/config.py", "options_to_dict"),
     Watched("FlowOptions", "repro/flow/macromodel.py",
-            "repro/campaign/cache.py", "_options_token"),
+            "repro/api/config.py", "options_to_dict"),
     Watched("ReproConfig", "repro/api/config.py",
             "repro/api/config.py", "ReproConfig.to_dict"),
     Watched("ScenarioSpec", "repro/campaign/scenario.py",
@@ -59,7 +60,7 @@ WATCHED = (
 
 #: Calls inside a digest function that consume *all* fields at once.
 _FULL_COVERAGE_CALLS = frozenset({
-    "asdict", "fields", "options_to_dict", "to_dict", "_options_token",
+    "asdict", "fields", "options_to_dict", "to_dict",
 })
 
 _MUTABLE_FACTORIES = frozenset({"list", "dict", "set"})
