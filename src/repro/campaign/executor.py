@@ -2,11 +2,12 @@
 
 The unit of work is :func:`execute_scenario`: a module-level function (so
 it pickles to :class:`~concurrent.futures.ProcessPoolExecutor` workers)
-that builds the scenario's PDN variant, looks its whole run up in the
-campaign's content-addressed :class:`~repro.api.artifacts.ArtifactStore`
-(under :meth:`~repro.api.pipeline.Pipeline.run_key`), runs the
-sensitivity-weighted flow on a miss, and returns a plain JSON-compatible
-run record plus the passive model.
+that builds the scenario's PDN variant, runs the sensitivity-weighted
+flow, stores the whole run in the campaign's content-addressed
+:class:`~repro.api.artifacts.ArtifactStore` (under
+:meth:`~repro.api.pipeline.Pipeline.run_key`), and returns a plain
+JSON-compatible run record plus the passive model.  Only the dispatcher
+reads stored runs: one lookup pass serves the hits, workers get the misses.
 
 Failure isolation is two-layered: the worker converts any exception into a
 ``status="failed"`` record (one diverging scenario never aborts the
@@ -40,7 +41,7 @@ import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.api.artifacts import ArtifactStore
@@ -153,8 +154,8 @@ def default_jobs() -> int:
 def _run_key(data, termination, observe_port: int, options: FlowOptions) -> str:
     """Store key of one scenario's whole-run entry.
 
-    The one place a campaign derives it: :func:`execute_scenario` looks
-    the run up under it and :func:`_group_fully_cached` probes it.
+    The one place a campaign derives it: :func:`_served_run` reads whole
+    runs under it and :func:`execute_scenario` stores computed ones.
     """
     seed = {
         "network": data,
@@ -162,6 +163,13 @@ def _run_key(data, termination, observe_port: int, options: FlowOptions) -> str:
         "observe_port": int(observe_port),
     }
     return standard_pipeline().run_key(ReproConfig.from_flow_options(options), seed)
+
+
+def _new_record(scenario: ScenarioSpec, attempt: int, **fields) -> dict:
+    """A run record: the scenario's identity, failed until ``fields`` say so."""
+    return {"run_id": scenario.run_id, "name": scenario.name,
+            "scenario": scenario.to_dict(), "status": "failed", "cache_hit": False,
+            "error": None, "metrics": None, "attempt": attempt, **fields}
 
 
 def execute_scenario(
@@ -174,11 +182,11 @@ def execute_scenario(
     """Run one scenario end-to-end; never raises.
 
     ``store`` is the directory of the campaign's content-addressed
-    :class:`~repro.api.artifacts.ArtifactStore`: a whole run found there
-    under :func:`_run_key` is served without running the flow, a computed
-    one is stored as ``{"model", "record"}``, and the standard-fit stage
-    is read from and written to it, so shared and earlier fits are
-    reused.  ``standard_fit`` optionally injects the scenario's
+    :class:`~repro.api.artifacts.ArtifactStore`: the computed run is
+    stored there under :func:`_run_key` as ``{"model", "record"}`` (the
+    dispatcher, not this function, serves stored runs), and the
+    standard-fit stage is read from and written to it, so shared and
+    earlier fits are reused.  ``standard_fit`` optionally injects the scenario's
     precomputed standard vector fit (shared across scenarios reusing the
     same scattering data); a fit whose order does not match the
     scenario's options is ignored rather than trusted.  ``telemetry_dir``
@@ -211,21 +219,11 @@ def execute_scenario(
     faultinject.set_attempt(attempt)
     faultinject.set_scenario(scenario.run_id)
     started = time.perf_counter()
-    record: dict = {
-        "run_id": scenario.run_id,
-        "name": scenario.name,
-        "scenario": scenario.to_dict(),
-        "status": "failed",
-        "cache_hit": False,
-        "error": None,
-        "metrics": None,
-        "attempt": attempt,
-        "environment": {
-            "blas_thread_limit": _WORKER_BLAS_LIMIT,
-            "blas_limit_method": _WORKER_BLAS_METHOD,
-            "shared_standard_fit": standard_fit is not None,
-        },
-    }
+    record = _new_record(scenario, attempt, environment={
+        "blas_thread_limit": _WORKER_BLAS_LIMIT,
+        "blas_limit_method": _WORKER_BLAS_METHOD,
+        "shared_standard_fit": standard_fit is not None,
+    })
     boundary = "testcase"
     try:
         faultinject.check("scenario.run")
@@ -248,26 +246,9 @@ def execute_scenario(
             record["environment"]["shared_standard_fit"] = False
 
         artifacts = ArtifactStore(store) if store else None
-        key = None
-        if artifacts is not None:
-            key = _run_key(testcase.data, testcase.termination, observe_port, options)
-            cached = artifacts.get(key)
-            if cached is not None:
-                record.update(
-                    status="ok",
-                    cache_hit=True,
-                    metrics=cached["record"].get("metrics"),
-                    accuracy_table=cached["record"].get("accuracy_table"),
-                    timings={
-                        "testcase_s": build_s,
-                        "flow_s": 0.0,
-                        "total_s": time.perf_counter() - started,
-                    },
-                    cache_key=key,
-                )
-                _LOG.info("run %s: cache hit (%s)", record["run_id"], key[:12])
-                return record, cached["model"]
-
+        key = None if artifacts is None else _run_key(
+            testcase.data, testcase.termination, observe_port, options
+        )
         boundary = "flow"
         flow_start = time.perf_counter()
         # The whole-run entry already makes runs resumable, so the stage
@@ -658,8 +639,6 @@ def _nominal_testcase(scenario: ScenarioSpec):
     (and, for synthetic cases, the nominal termination the per-member
     perturbations start from).
     """
-    from dataclasses import replace
-
     return replace(
         scenario,
         decap_c_scale=1.0,
@@ -701,50 +680,82 @@ def _member_observe_port(scenario: ScenarioSpec, base) -> int:
     return scenario.resolve_observe_port(base)
 
 
-def _group_fully_cached(
-    base, members: list[ScenarioSpec], store: ArtifactStore
-) -> bool:
-    """True when every scenario of a prefit group will be a cache hit.
+def _group_bases(scenarios: list[ScenarioSpec]) -> dict[tuple, object]:
+    """Each data group's base testcase, built once, keyed by standard fit.
 
-    Keying reuses the group's already-built base testcase: the
-    termination construction is cheap (no MNA solve, no file re-read), so
-    probing the store costs hashing only.  A member whose key cannot even
-    be computed (e.g. an invalid termination spec) counts as a miss: the
-    group is prefit and the bad scenario fails inside execute_scenario's
-    isolation, not here.
+    A group whose base cannot be built (e.g. a missing data file) maps to
+    ``None``, so the failure stays isolated to its own scenarios.
     """
-    for scenario in members:
+    bases: dict[tuple, object] = {}
+    for scenario in scenarios:
+        key = _standard_fit_key(scenario)
+        if key in bases:
+            continue
         try:
-            key = _run_key(
-                base.data,
-                _member_termination(scenario, base),
-                _member_observe_port(scenario, base),
-                scenario.flow_options(),
+            bases[key] = _nominal_testcase(scenario)
+        except Exception as exc:  # noqa: BLE001 -- isolate to the group
+            bases[key] = None
+            _LOG.warning(
+                "group %s: cannot build its data (%s); its scenarios "
+                "will run (and fail) individually", key, exc,
             )
-        except Exception:  # noqa: BLE001 -- probe must never abort the run
-            return False
-        if key not in store:
-            return False
-    return True
+    return bases
+
+
+def _served_run(
+    scenario: ScenarioSpec, base, store: ArtifactStore
+) -> tuple[dict, PoleResidueModel] | None:
+    """A scenario's stored whole run as a finished record; ``None`` on a miss.
+
+    The key comes from the group's built base, so a hit builds no test
+    case.  A member whose key cannot even be computed (e.g. an invalid
+    termination spec) is a miss: it fails in execute_scenario, not here.
+    """
+    started = time.perf_counter()
+    try:
+        key = _run_key(
+            base.data,
+            _member_termination(scenario, base),
+            _member_observe_port(scenario, base),
+            scenario.flow_options(),
+        )
+    except Exception:  # noqa: BLE001 -- a lookup must never abort the run
+        return None
+    cached = store.get(key)
+    if cached is None:
+        return None
+    # Served in the dispatcher, which is never BLAS-capped and fits nothing.
+    record = _new_record(
+        scenario, 0, status="ok", cache_hit=True, cache_key=key, attempts=1,
+        metrics=cached["record"].get("metrics"),
+        accuracy_table=cached["record"].get("accuracy_table"),
+        environment={"blas_thread_limit": None, "blas_limit_method": None,
+                     "shared_standard_fit": False},
+    )
+    if base.ingest is not None:
+        record["ingest"] = base.ingest.to_dict()
+    elapsed = time.perf_counter() - started
+    record["timings"] = {"testcase_s": 0.0, "flow_s": 0.0, "total_s": elapsed}
+    record["duration_s"] = elapsed
+    _LOG.info("run %s: cache hit (%s)", scenario.run_id, key[:12])
+    return record, cached["model"]
 
 
 def _shared_standard_fits(
     scenarios: list[ScenarioSpec],
     store: ArtifactStore | None = None,
+    bases: dict[tuple, object] | None = None,
 ) -> dict[tuple, VFResult]:
     """One standard fit per group of scenarios sharing scattering data.
 
-    Only groups with at least two members are prefit (a singleton gains
-    nothing from precomputation), and a group whose every member already
-    has a whole-run entry in ``store`` is skipped -- a warm-cache
-    campaign pays for key hashing, not for fits.
+    ``scenarios`` are the cache misses; only groups with at least two of
+    them are prefit (a singleton gains nothing from precomputation), from
+    ``bases`` (see :func:`_group_bases`) when the dispatcher built them.
     Groups sharing a frequency grid and VF configuration -- e.g. several
     PDN sizes swept together, or external data files exported on one
     grid -- are fitted in a single :func:`fit_many` call, which
     amortizes grid validation, starting poles and iteration-0 basis
-    assembly across them.  A group whose base cannot be built (e.g. a
-    missing data file) is skipped here so the failure stays isolated to
-    its own scenarios.
+    assembly across them.
 
     ``store`` also receives each prefit under
     :class:`~repro.api.stages.StandardFitStage`'s content key, so worker
@@ -754,30 +765,12 @@ def _shared_standard_fits(
     members_of: dict[tuple, list[ScenarioSpec]] = {}
     for scenario in scenarios:
         members_of.setdefault(_standard_fit_key(scenario), []).append(scenario)
-    shared = [key for key, members in members_of.items() if len(members) > 1]
+    shared = [members[0] for members in members_of.values() if len(members) > 1]
     if not shared:
         return {}
-
-    bases: dict[tuple, object] = {}
-    for key in shared:
-        members = members_of[key]
-        try:
-            base = _nominal_testcase(members[0])
-        except Exception as exc:  # noqa: BLE001 -- isolate to the group
-            _LOG.warning(
-                "shared standard fits: cannot build group %s (%s); its "
-                "scenarios will fit (and fail) individually",
-                key,
-                exc,
-            )
-            continue
-        if store is not None and _group_fully_cached(base, members, store):
-            obs.incr("campaign.prefit_cached_groups")
-            _LOG.info(
-                "shared standard fits: group %s fully cached, skipped", key
-            )
-            continue
-        bases[key] = base
+    built = _group_bases(shared) if bases is None else bases
+    bases = {key: built[key] for key in map(_standard_fit_key, shared)
+             if built.get(key) is not None}
 
     # Batch groups that share a frequency grid and VF configuration into
     # one fit_many call; the grid itself is the batch discriminator, so
@@ -1036,10 +1029,26 @@ def _run_campaign_impl(
             " (cache hit)" if record.get("cache_hit") else "",
         )
 
+    # One lookup pass serves every stored run in the dispatcher, building
+    # each data group's base once; only the misses go on to prefits/workers.
+    bases: dict[tuple, object] | None = None
+    if store is not None and todo:
+        misses: list[ScenarioSpec] = []
+        with obs.span("campaign:lookup", n_scenarios=len(todo)):
+            bases = _group_bases(todo)
+            for scenario in todo:
+                base = bases.get(_standard_fit_key(scenario))
+                hit = None if base is None else _served_run(scenario, base, store)
+                if hit is None:
+                    misses.append(scenario)
+                else:
+                    _finish(*hit)
+        todo = misses
+
     prefits: dict[tuple, VFResult] = {}
     if share_fits and len(todo) > 1:
         prefit_start = time.perf_counter()
-        prefits = _shared_standard_fits(todo, store)
+        prefits = _shared_standard_fits(todo, store, bases)
         if prefits:
             _LOG.info(
                 "shared standard fits: %d computed in %.2fs",
@@ -1097,19 +1106,10 @@ def _run_campaign_impl(
     ) -> dict:
         """Dispatcher-synthesized record for a run that never returned
         (worker crash, wall-clock timeout)."""
-        return {
-            "run_id": scenario.run_id,
-            "name": scenario.name,
-            "scenario": scenario.to_dict(),
-            "status": "failed",
-            "cache_hit": False,
-            "error": message,
-            "error_code": error_code,
-            "failed_stage": "campaign",
-            "metrics": None,
-            "duration_s": None,
-            "attempt": attempt,
-        }
+        return _new_record(
+            scenario, attempt, error=message, error_code=error_code,
+            failed_stage="campaign", duration_s=None,
+        )
 
     active_tel = obs.active()
     if jobs <= 1 or len(todo) <= 1:

@@ -2,12 +2,14 @@
 
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.api.artifacts import ArtifactStore
 from repro.api.stages import EnforceStage
+from repro.campaign import executor
 from repro.campaign.executor import (
     _run_key,
     _shared_standard_fits,
@@ -31,7 +33,12 @@ from repro.cli import main
 from repro.flow.macromodel import FlowOptions
 from repro.passivity.check import check_passivity
 from repro.pdn.testcase import make_variant_testcase, perturb_termination
+from repro.vectfit.core import fit_many
 from repro.vectfit.options import VFOptions
+
+EXTERNAL_S2P = (
+    Path(__file__).resolve().parent.parent / "examples/data/coupled_rlc.s2p"
+)
 
 # Coarse settings: each uncached flow run takes well under a second.
 FAST = dict(
@@ -260,9 +267,8 @@ class TestExecutor:
         assert result.n_ok == 2
 
     def test_worker_failure_is_isolated(self, campaign_env, tmp_path):
-        # observe_port=99 does not exist -> that worker fails; the healthy
-        # scenario (already cached) still completes.  jobs=2 exercises the
-        # real process pool.
+        # observe_port=99 does not exist -> that run fails; the healthy
+        # scenario (already cached) is served by the dispatcher.
         good = fast_scenario("mini", weight_mode="relative")
         bad = fast_scenario("doomed", observe_port=99)
         registry = CampaignRegistry(tmp_path / "reg")
@@ -315,17 +321,33 @@ class TestBatchOptimizations:
         fit = prefits[_standard_fit_key(pair[0])]
         assert fit.model.n_poles == pair[0].n_poles
 
-    def test_warm_cache_skips_prefits(self, tmp_path):
-        # Once every scenario of a group is cache-served, the dispatcher
-        # must not pay for the shared standard fit again.
-        scenarios = [fast_scenario("c1", decap_c_scale=0.5),
-                     fast_scenario("c2", decap_c_scale=2.0)]
-        cache = ArtifactStore(tmp_path / "cache")
-        run_campaign(list(scenarios), cache=cache, jobs=1)
-        assert _shared_standard_fits(list(scenarios), cache) == {}
-        # A cold member keeps the group's prefit alive.
-        with_cold = list(scenarios) + [fast_scenario("c3", decap_c_scale=3.0)]
-        assert len(_shared_standard_fits(with_cold, cache)) == 1
+    def test_warm_cache_skips_prefits(self, tmp_path, monkeypatch):
+        # Cache-served members run no fit: a group is prefit only when at
+        # least two of its members miss the cache.
+        fitted = []
+
+        def counting_fit_many(omega, samples, **kwargs):
+            fitted.append(len(samples))
+            return fit_many(omega, samples, **kwargs)
+
+        monkeypatch.setattr(executor, "fit_many", counting_fit_many)
+        scenarios = [fast_scenario(f"c{i}", decap_c_scale=scale)
+                     for i, scale in enumerate((0.5, 2.0, 3.0, 4.0, 5.0))]
+        cache = tmp_path / "cache"
+        run_campaign(scenarios[:2], cache=cache, jobs=1)
+        assert fitted == [1]
+        fitted.clear()
+        # Fully warm: no prefit.
+        assert run_campaign(scenarios[:2], cache=cache, jobs=1).n_cache_hits == 2
+        assert fitted == []
+        # One cold member: it runs without a prefit.
+        one_cold = run_campaign(scenarios[:3], cache=cache, jobs=1)
+        assert one_cold.n_cache_hits == 2 and one_cold.n_ok == 3
+        assert fitted == []
+        # Two cold members share one prefit.
+        two_cold = run_campaign(scenarios[:2] + scenarios[3:], cache=cache, jobs=1)
+        assert two_cold.n_cache_hits == 2 and two_cold.n_ok == 4
+        assert fitted == [1]
 
     def test_shared_fit_matches_worker_fit(self, tmp_path):
         # A campaign with and without shared standard fits must produce
@@ -340,18 +362,18 @@ class TestBatchOptimizations:
             assert not b["environment"]["shared_standard_fit"]
             assert a["metrics"] == pytest.approx(b["metrics"], rel=1e-12)
 
-    def test_order_mismatch_drops_injected_fit(self, campaign_env):
+    def test_order_mismatch_drops_injected_fit(self):
+        # No store: the flow must fit the scenario's own order itself.
         scenario = fast_scenario("mini", weight_mode="relative")
         wrong = _shared_standard_fits(
             [fast_scenario("w1", n_poles=6), fast_scenario("w2", n_poles=6,
                                                            decap_c_scale=0.5)]
         )
         (bad_fit,) = wrong.values()
-        record, model = execute_scenario(
-            scenario, str(campaign_env["cache"].root), standard_fit=bad_fit
-        )
+        record, model = execute_scenario(scenario, None, standard_fit=bad_fit)
         assert record["status"] == "ok"
         assert record["environment"]["shared_standard_fit"] is False
+        assert model.n_poles == scenario.n_poles
 
     def test_limit_blas_threads(self):
         import os
@@ -426,6 +448,92 @@ class TestCacheAndFingerprint:
         rerun = run_campaign(campaign_env["spec"], cache=store.root, jobs=1)
         assert rerun.n_ok == 2 and rerun.n_cache_hits == 1
         assert ArtifactStore(store.root).get(record["cache_key"]) is not None
+
+
+class TestWarmPath:
+    """Stored runs are served by the dispatcher's one lookup pass."""
+
+    def test_warm_campaign_served_in_dispatcher(self, tmp_path, monkeypatch):
+        pools, builds = [], []
+        real_pool = executor.ProcessPoolExecutor
+        real_build = ScenarioSpec.build_testcase
+
+        def counting_pool(*args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            return real_pool(*args, **kwargs)
+
+        def counting_build(scenario):
+            builds.append(scenario.run_id)
+            return real_build(scenario)
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", counting_pool)
+        monkeypatch.setattr(ScenarioSpec, "build_testcase", counting_build)
+        # Two data groups (grids of 31 and 29 points), two terminations each.
+        spec = CampaignSpec.from_axes(
+            "warm", fast_scenario("warm"),
+            {"n_frequencies": [31, 29], "decap_c_scale": [0.5, 2.0]},
+        )
+        cache = tmp_path / "cache"
+        cold_registry = CampaignRegistry(tmp_path / "cold")
+        cold = run_campaign(spec, registry=cold_registry, cache=cache, jobs=2)
+        assert cold.n_ok == 4 and cold.n_cache_hits == 0
+        assert len(pools) == 1  # the counters see a cold pool
+        for jobs in (2, 1):
+            pools.clear()
+            builds.clear()
+            registry = CampaignRegistry(tmp_path / f"warm-{jobs}")
+            warm = run_campaign(spec, registry=registry, cache=cache, jobs=jobs)
+            assert pools == []
+            assert len(builds) == 2  # one base per data group
+            assert warm.n_ok == warm.n_cache_hits == 4
+            for record in warm.records:
+                assert record["cache_hit"] is True
+                assert record["timings"]["flow_s"] == 0.0
+                warm_model, _ = registry.load_model(record["run_id"])
+                cold_model, _ = cold_registry.load_model(record["run_id"])
+                for attr in ("poles", "residues", "const"):
+                    assert (getattr(warm_model, attr).tobytes()
+                            == getattr(cold_model, attr).tobytes())
+
+    def test_dispatcher_keys_match_and_only_misses_run(
+        self, tmp_path, monkeypatch
+    ):
+        vrm = fast_scenario("vrm", vrm_resistance=1e-3)
+        die = fast_scenario("die", total_die_current=2.0)
+        external = ScenarioSpec(
+            name="ext", data_file=str(EXTERNAL_S2P), data_max_points=30,
+            termination_spec="0=r(1);1=rlc(r=0.2,c=1e-6)",  # observe port unset
+            n_poles=6, refinement_rounds=0, enforcement_max_iterations=5,
+        )
+        executed = []
+        real_execute = executor.execute_scenario
+
+        def counting_execute(scenario, *args, **kwargs):
+            executed.append(scenario.name)
+            return real_execute(scenario, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "execute_scenario", counting_execute)
+        cache = tmp_path / "cache"
+        cold = run_campaign([vrm, external], cache=cache, jobs=1)
+        assert cold.n_ok == 2 and sorted(executed) == ["ext", "vrm"]
+        computed = {r["run_id"]: r for r in cold.records}
+        # Partially warm: only the miss runs; the hits' dispatcher-derived
+        # keys are the keys execute_scenario stored the runs under.
+        executed.clear()
+        partial = run_campaign([vrm, die, external], cache=cache, jobs=1)
+        assert partial.n_ok == 3 and partial.n_cache_hits == 2
+        assert executed == ["die"]
+        computed.update({r["run_id"]: r for r in partial.records if not r["cache_hit"]})
+        executed.clear()
+        warm = run_campaign([vrm, die, external], cache=cache, jobs=1)
+        assert warm.n_cache_hits == 3 and executed == []
+        for record in warm.records:
+            first = computed[record["run_id"]]
+            assert first["cache_hit"] is False
+            assert record["cache_key"] == first["cache_key"]
+            assert record["metrics"] == first["metrics"]
+            assert record.get("ingest") == first.get("ingest")
+        assert computed[external.run_id]["ingest"]
 
 
 class TestRegistry:
