@@ -3,11 +3,12 @@
 The unit of work is :func:`execute_scenario`: a module-level function (so
 it pickles to :class:`~concurrent.futures.ProcessPoolExecutor` workers)
 that builds the scenario's PDN variant, runs the sensitivity-weighted
-flow, stores the whole run in the campaign's content-addressed
+flow and returns a plain JSON-compatible run record plus the passive
+model.  Whole runs live in the campaign's content-addressed
 :class:`~repro.api.artifacts.ArtifactStore` (under
-:meth:`~repro.api.pipeline.Pipeline.run_key`), and returns a plain
-JSON-compatible run record plus the passive model.  Only the dispatcher
-reads stored runs: one lookup pass serves the hits, workers get the misses.
+:meth:`~repro.api.pipeline.Pipeline.run_key`), and only the dispatcher
+touches them: one lookup pass keys every scenario and serves the hits,
+workers get the misses, and the dispatcher stores what they compute.
 
 Failure isolation is two-layered: the worker converts any exception into a
 ``status="failed"`` record (one diverging scenario never aborts the
@@ -49,12 +50,13 @@ from repro.api.config import ReproConfig
 from repro.api.pipeline import standard_pipeline
 from repro.api.stages import StandardFitStage
 from repro.campaign.registry import CampaignRegistry
-from repro.campaign.scenario import CampaignSpec, ScenarioSpec
+from repro.campaign.scenario import EXTERNAL_DEFAULTS, CampaignSpec, ScenarioSpec
 from repro.flow.macromodel import FlowOptions, run_flow
 from repro.flow.metrics import accuracy_table
 from repro.obs import telemetry as obs
 from repro.obs.metrics import build_campaign_metrics, write_metrics_files
 from repro.obs.telemetry import telemetry_session
+from repro.pdn.testcase import PDNTestCase, perturb_termination
 from repro.resilience import faultinject
 from repro.resilience.errors import error_code_of, stage_of
 from repro.resilience.retry import RetryPolicy
@@ -154,8 +156,8 @@ def default_jobs() -> int:
 def _run_key(data, termination, observe_port: int, options: FlowOptions) -> str:
     """Store key of one scenario's whole-run entry.
 
-    The one place a campaign derives it: :func:`_served_run` reads whole
-    runs under it and :func:`execute_scenario` stores computed ones.
+    The one place a campaign derives it: the dispatcher's lookup pass
+    (:func:`_member_run`) reads whole runs under it and stores computed ones.
     """
     seed = {
         "network": data,
@@ -169,7 +171,8 @@ def _new_record(scenario: ScenarioSpec, attempt: int, **fields) -> dict:
     """A run record: the scenario's identity, failed until ``fields`` say so."""
     return {"run_id": scenario.run_id, "name": scenario.name,
             "scenario": scenario.to_dict(), "status": "failed", "cache_hit": False,
-            "error": None, "metrics": None, "attempt": attempt, **fields}
+            "error": None, "metrics": None, "cache_key": None,
+            "attempt": attempt, **fields}
 
 
 def execute_scenario(
@@ -178,15 +181,15 @@ def execute_scenario(
     standard_fit: VFResult | None = None,
     telemetry_dir: str | None = None,
     attempt: int = 0,
+    testcase: PDNTestCase | None = None,
 ) -> tuple[dict, PoleResidueModel | None]:
     """Run one scenario end-to-end; never raises.
 
     ``store`` is the directory of the campaign's content-addressed
-    :class:`~repro.api.artifacts.ArtifactStore`: the computed run is
-    stored there under :func:`_run_key` as ``{"model", "record"}`` (the
-    dispatcher, not this function, serves stored runs), and the
-    standard-fit stage is read from and written to it, so shared and
-    earlier fits are reused.  ``standard_fit`` optionally injects the scenario's
+    :class:`~repro.api.artifacts.ArtifactStore`; only the standard-fit
+    stage is read from and written to it, so shared and earlier fits are
+    reused (whole runs are read and stored by the dispatcher, under
+    :func:`_run_key`).  ``standard_fit`` optionally injects the scenario's
     precomputed standard vector fit (shared across scenarios reusing the
     same scattering data); a fit whose order does not match the
     scenario's options is ignored rather than trusted.  ``telemetry_dir``
@@ -196,7 +199,9 @@ def execute_scenario(
     the registry record and the campaign-level metrics).  ``attempt`` is
     the dispatcher's 0-based retry counter: recorded in the run record
     and published to the fault-injection harness so attempt-pinned
-    faults stay deterministic across pool respawns.  Returns
+    faults stay deterministic across pool respawns.  ``testcase`` is the
+    scenario's test case when the dispatcher already built it (see
+    :func:`_member_run`); otherwise it is built here.  Returns
     ``(record, model)`` where ``record`` is JSON-compatible and ``model``
     is the passive weighted-cost macromodel (``None`` when the scenario
     failed).  Failed records carry a machine-readable ``error_code``
@@ -212,6 +217,7 @@ def execute_scenario(
         ) as tel:
             record, model = execute_scenario(
                 scenario, store, standard_fit, attempt=attempt,
+                testcase=testcase,
             )
             record["telemetry"] = tel.snapshot()
         return record, model
@@ -228,7 +234,8 @@ def execute_scenario(
     try:
         faultinject.check("scenario.run")
         build_start = time.perf_counter()
-        testcase = scenario.build_testcase()
+        if testcase is None:
+            testcase = scenario.build_testcase()
         observe_port = scenario.resolve_observe_port(testcase)
         options = scenario.flow_options()
         build_s = time.perf_counter() - build_start
@@ -245,10 +252,6 @@ def execute_scenario(
             standard_fit = None
             record["environment"]["shared_standard_fit"] = False
 
-        artifacts = ArtifactStore(store) if store else None
-        key = None if artifacts is None else _run_key(
-            testcase.data, testcase.termination, observe_port, options
-        )
         boundary = "flow"
         flow_start = time.perf_counter()
         # The whole-run entry already makes runs resumable, so the stage
@@ -258,7 +261,7 @@ def execute_scenario(
         # additional reuse.
         result = run_flow(testcase.data, testcase.termination,
                           observe_port, options, standard_fit=standard_fit,
-                          store=artifacts,
+                          store=ArtifactStore(store) if store else None,
                           store_stages=("standard_fit",))
         flow_s = time.perf_counter() - flow_start
         table = accuracy_table(list(result.accuracy_rows))
@@ -286,11 +289,8 @@ def execute_scenario(
                     "weighted_cost": result.weighted_enforced.profile(),
                 },
             },
-            cache_key=key,
         )
         model = result.weighted_enforced.model
-        if artifacts is not None:
-            artifacts.put(key, {"model": model, "record": record})
         _LOG.info(
             "run %s: ok in %.2fs (max relZ weighted cost %.4f)",
             record["run_id"],
@@ -379,9 +379,7 @@ def _run_pool(
     max_workers: int,
     worker_log_level: int | None,
     worker_blas: int | None,
-    store: str | None,
-    prefit,
-    telemetry_dir: str | None,
+    args_of,
     budget_ok,
     note_retry,
     finalize,
@@ -428,10 +426,7 @@ def _run_pool(
             if policy.timeout_s is not None
             else None
         )
-        future = pool.submit(
-            execute_scenario, scenario, store, prefit(scenario),
-            telemetry_dir, attempt,
-        )
+        future = pool.submit(execute_scenario, *args_of(scenario, attempt))
         pending[future] = (scenario, attempt, deadline)
 
     def _respawn() -> None:
@@ -634,50 +629,19 @@ def _standard_fit_key(scenario: ScenarioSpec) -> tuple:
 def _nominal_testcase(scenario: ScenarioSpec):
     """The prefit group's shared base: the scenario with nominal loading.
 
-    Termination knobs never touch the scattering data, so any member
-    stripped of its perturbations materializes the group's common data
-    (and, for synthetic cases, the nominal termination the per-member
-    perturbations start from).
+    Loading knobs never touch the scattering data, so any member stripped
+    of them materializes the group's common data (and, for synthetic
+    cases, the nominal termination the per-member perturbations start
+    from).  Stripping also drops what only fails one member's own build
+    (a bad termination spec or observe port, a synthetic member's stray
+    external knobs), so one bad member cannot fail its whole group.
     """
-    return replace(
-        scenario,
-        decap_c_scale=1.0,
-        decap_esr_scale=1.0,
-        vrm_resistance=None,
-        total_die_current=None,
-    ).build_testcase()
-
-
-def _member_termination(scenario: ScenarioSpec, base) -> object:
-    """A member's termination, built from the group's base testcase."""
-    from repro.pdn.testcase import perturb_termination
-
-    if scenario.data_file is not None:
-        nominal = scenario.external_termination(
-            base.data.n_ports, default_z0=base.data.z0
-        )
-    else:
-        nominal = base.termination
-    return perturb_termination(
-        nominal,
-        decap_c_scale=scenario.decap_c_scale,
-        decap_esr_scale=scenario.decap_esr_scale,
-        vrm_resistance=scenario.vrm_resistance,
-        total_die_current=scenario.total_die_current,
-    )
-
-
-def _member_observe_port(scenario: ScenarioSpec, base) -> int:
-    """The observation port execute_scenario will resolve for ``scenario``.
-
-    External test cases default an unset observe_port through
-    :attr:`ScenarioSpec.external_observe_port`; resolving against the
-    group's base -- which was built from a *different* member -- would
-    probe the wrong port.
-    """
-    if scenario.data_file is not None:
-        return scenario.external_observe_port
-    return scenario.resolve_observe_port(base)
+    nominal = dict(decap_c_scale=1.0, decap_esr_scale=1.0, vrm_resistance=None,
+                   total_die_current=None, termination_spec=None,
+                   observe_port=None)
+    if scenario.data_file is None:
+        nominal.update(EXTERNAL_DEFAULTS)
+    return replace(scenario, **nominal).build_testcase()
 
 
 def _group_bases(scenarios: list[ScenarioSpec]) -> dict[tuple, object]:
@@ -702,25 +666,48 @@ def _group_bases(scenarios: list[ScenarioSpec]) -> dict[tuple, object]:
     return bases
 
 
-def _served_run(
-    scenario: ScenarioSpec, base, store: ArtifactStore
-) -> tuple[dict, PoleResidueModel] | None:
-    """A scenario's stored whole run as a finished record; ``None`` on a miss.
+def _member_run(scenario: ScenarioSpec, base) -> tuple[str, PDNTestCase] | None:
+    """A member's whole-run key and test case, derived from its group's base.
 
-    The key comes from the group's built base, so a hit builds no test
-    case.  A member whose key cannot even be computed (e.g. an invalid
-    termination spec) is a miss: it fails in execute_scenario, not here.
+    Loading knobs never touch the group's data, so this is the member's
+    own test case without a build of its own.  ``None`` for a member
+    whose own build would fail (no base, an invalid termination spec,
+    stray external knobs on a synthetic case): it is neither served nor
+    stored, and execute_scenario builds it and reports the failure.
     """
-    started = time.perf_counter()
+    if base is None or (
+        scenario.data_file is None and scenario._stray_external_fields()
+    ):
+        return None
     try:
-        key = _run_key(
-            base.data,
-            _member_termination(scenario, base),
-            _member_observe_port(scenario, base),
-            scenario.flow_options(),
+        if scenario.data_file is not None:
+            # Resolved per member: the base was built from another member.
+            nominal = scenario.external_termination(
+                base.data.n_ports, default_z0=base.data.z0
+            )
+            observe_port = scenario.external_observe_port
+        else:
+            nominal = base.termination
+            observe_port = scenario.resolve_observe_port(base)
+        termination = perturb_termination(
+            nominal,
+            decap_c_scale=scenario.decap_c_scale,
+            decap_esr_scale=scenario.decap_esr_scale,
+            vrm_resistance=scenario.vrm_resistance,
+            total_die_current=scenario.total_die_current,
         )
+        key = _run_key(base.data, termination, observe_port,
+                       scenario.flow_options())
     except Exception:  # noqa: BLE001 -- a lookup must never abort the run
         return None
+    return key, replace(base, termination=termination, observe_port=observe_port)
+
+
+def _served_run(
+    scenario: ScenarioSpec, key: str, base, store: ArtifactStore
+) -> tuple[dict, PoleResidueModel] | None:
+    """A stored whole run as a finished record, built in-process; ``None`` on a miss."""
+    started = time.perf_counter()
     cached = store.get(key)
     if cached is None:
         return None
@@ -1029,20 +1016,25 @@ def _run_campaign_impl(
             " (cache hit)" if record.get("cache_hit") else "",
         )
 
-    # One lookup pass serves every stored run in the dispatcher, building
-    # each data group's base once; only the misses go on to prefits/workers.
+    # One lookup pass keys every scenario from its data group's base (built
+    # once) and serves the stored runs.  Only the misses go on to
+    # prefits/workers, with their test cases; their keys store the results.
     bases: dict[tuple, object] | None = None
+    prepared: dict[str, tuple[str, PDNTestCase]] = {}
     if store is not None and todo:
         misses: list[ScenarioSpec] = []
         with obs.span("campaign:lookup", n_scenarios=len(todo)):
             bases = _group_bases(todo)
             for scenario in todo:
                 base = bases.get(_standard_fit_key(scenario))
-                hit = None if base is None else _served_run(scenario, base, store)
-                if hit is None:
-                    misses.append(scenario)
-                else:
+                member = _member_run(scenario, base)
+                hit = _served_run(scenario, member[0], base, store) if member else None
+                if hit is not None:
                     _finish(*hit)
+                    continue
+                misses.append(scenario)
+                if member is not None:
+                    prepared[scenario.run_id] = member
         todo = misses
 
     prefits: dict[tuple, VFResult] = {}
@@ -1056,12 +1048,12 @@ def _run_campaign_impl(
                 time.perf_counter() - prefit_start,
             )
 
-    def _prefit(scenario: ScenarioSpec) -> VFResult | None:
+    def _args(scenario: ScenarioSpec, attempt: int) -> tuple:
         # Store-published prefits reach workers as stage cache hits; only
         # store-less campaigns ship the fit object by value.
-        if store is not None:
-            return None
-        return prefits.get(_standard_fit_key(scenario))
+        prefit = None if store is not None else prefits.get(_standard_fit_key(scenario))
+        _key, testcase = prepared.get(scenario.run_id, (None, None))
+        return scenario, store_dir, prefit, telemetry_dir, attempt, testcase
 
     # ------------------------------------------------------------------
     # Retry bookkeeping, shared by the serial and pooled dispatchers.
@@ -1092,6 +1084,13 @@ def _run_campaign_impl(
     def _finalize(
         record: dict, model: PoleResidueModel | None, attempt: int
     ) -> None:
+        key, _testcase = prepared.get(record["run_id"], (None, None))
+        if key is not None and record["status"] == "ok":
+            # Stored as the worker computed it, minus per-execution fields.
+            record["cache_key"] = key
+            stored = {k: v for k, v in record.items()
+                      if k not in ("telemetry", "duration_s")}
+            store.put(key, {"model": model, "record": stored})
         record["attempts"] = attempt + 1
         log = attempt_log.get(record["run_id"])
         if log:
@@ -1120,10 +1119,7 @@ def _run_campaign_impl(
         for scenario in todo:
             attempt = 0
             while True:
-                record, model = execute_scenario(
-                    scenario, store_dir, _prefit(scenario),
-                    telemetry_dir, attempt=attempt,
-                )
+                record, model = execute_scenario(*_args(scenario, attempt))
                 if (
                     record["status"] == "ok"
                     or attempt >= policy.max_retries
@@ -1157,8 +1153,7 @@ def _run_campaign_impl(
             })
         _run_pool(
             todo, policy, max_workers, worker_log_level, worker_blas,
-            store_dir, _prefit, telemetry_dir,
-            _budget_ok, _note_retry, _finalize, _failed_record,
+            _args, _budget_ok, _note_retry, _finalize, _failed_record,
         )
 
     records = [

@@ -28,6 +28,17 @@ from repro.vectfit.options import VFOptions
 _SPEC_FORMAT = "repro.campaign-spec"
 _SPEC_VERSION = 1
 
+#: Knobs that only describe an external data source, with their defaults.
+EXTERNAL_DEFAULTS = {
+    "termination_spec": None,
+    "data_z0": None,
+    "data_dc_policy": "keep",
+    "data_f_min": None,
+    "data_f_max": None,
+    "data_max_points": None,
+    "data_symmetrize": "auto",
+}
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -109,16 +120,8 @@ class ScenarioSpec:
         """
         return [
             field_name
-            for field_name, value, default in (
-                ("termination_spec", self.termination_spec, None),
-                ("data_z0", self.data_z0, None),
-                ("data_dc_policy", self.data_dc_policy, "keep"),
-                ("data_f_min", self.data_f_min, None),
-                ("data_f_max", self.data_f_max, None),
-                ("data_max_points", self.data_max_points, None),
-                ("data_symmetrize", self.data_symmetrize, "auto"),
-            )
-            if value != default
+            for field_name, default in EXTERNAL_DEFAULTS.items()
+            if getattr(self, field_name) != default
         ]
 
     # ------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -266,16 +267,25 @@ class TestExecutor:
         assert result.n_resumed == 2
         assert result.n_ok == 2
 
-    def test_worker_failure_is_isolated(self, campaign_env, tmp_path):
-        # observe_port=99 does not exist -> that run fails; the healthy
-        # scenario (already cached) is served by the dispatcher.
+    def test_worker_failure_is_isolated(self, tmp_path, monkeypatch):
+        # observe_port=99 does not exist -> that worker fails; the healthy
+        # scenario still completes.  A fresh cache sends both runs to the
+        # real process pool.
+        pools = []
+        real_pool = executor.ProcessPoolExecutor
+
+        def counting_pool(*args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", counting_pool)
         good = fast_scenario("mini", weight_mode="relative")
         bad = fast_scenario("doomed", observe_port=99)
         registry = CampaignRegistry(tmp_path / "reg")
         result = run_campaign(
-            [good, bad], registry=registry,
-            cache=campaign_env["cache"], jobs=2,
+            [good, bad], registry=registry, cache=tmp_path / "cache", jobs=2,
         )
+        assert pools == [2]
         assert result.n_runs == 2
         assert result.n_ok == 1
         assert result.n_failed == 1
@@ -475,9 +485,13 @@ class TestWarmPath:
         )
         cache = tmp_path / "cache"
         cold_registry = CampaignRegistry(tmp_path / "cold")
-        cold = run_campaign(spec, registry=cold_registry, cache=cache, jobs=2)
+        cold = run_campaign(spec, registry=cold_registry, cache=cache, jobs=1)
         assert cold.n_ok == 4 and cold.n_cache_hits == 0
-        assert len(pools) == 1  # the counters see a cold pool
+        # The misses run on test cases derived from the group bases too.
+        assert len(builds) == 2
+        pooled = run_campaign(spec, cache=tmp_path / "pooled", jobs=2)
+        assert pooled.n_ok == 4
+        assert len(pools) == 1  # the counter sees a cold pool
         for jobs in (2, 1):
             pools.clear()
             builds.clear()
@@ -517,8 +531,18 @@ class TestWarmPath:
         cold = run_campaign([vrm, external], cache=cache, jobs=1)
         assert cold.n_ok == 2 and sorted(executed) == ["ext", "vrm"]
         computed = {r["run_id"]: r for r in cold.records}
-        # Partially warm: only the miss runs; the hits' dispatcher-derived
-        # keys are the keys execute_scenario stored the runs under.
+        # The dispatcher's keys are the keys of each scenario's own test
+        # case, and runs on the dispatcher's test cases match runs that
+        # build their own.
+        for scenario, record in zip([vrm, external], cold.records):
+            testcase = scenario.build_testcase()
+            assert record["cache_key"] == _run_key(
+                testcase.data, testcase.termination,
+                scenario.resolve_observe_port(testcase), scenario.flow_options(),
+            )
+            assert record["metrics"] == real_execute(scenario)[0]["metrics"]
+        # Partially warm: only the miss runs, and the warm pass serves each
+        # run under the key it was stored with.
         executed.clear()
         partial = run_campaign([vrm, die, external], cache=cache, jobs=1)
         assert partial.n_ok == 3 and partial.n_cache_hits == 2
@@ -534,6 +558,33 @@ class TestWarmPath:
             assert record["metrics"] == first["metrics"]
             assert record.get("ingest") == first.get("ingest")
         assert computed[external.run_id]["ingest"]
+
+    @pytest.mark.parametrize("bad_first", [False, True])
+    @pytest.mark.parametrize("source", ["synthetic", "external"])
+    def test_bad_member_neither_served_nor_poisons_group(
+        self, tmp_path, source, bad_first
+    ):
+        # The bad member shares the good one's data group; only its own
+        # build fails (stray external knobs on a synthetic case, a port out
+        # of range in an external termination spec).
+        if source == "synthetic":
+            good = fast_scenario("good")
+            bad = fast_scenario("bad", termination_spec="*=r(50)")
+        else:
+            good = ScenarioSpec(
+                name="good", data_file=str(EXTERNAL_S2P), data_max_points=30,
+                n_poles=6, refinement_rounds=0, enforcement_max_iterations=5,
+            )
+            bad = replace(good, name="bad", termination_spec="5=r(50)")
+        cache = tmp_path / "cache"
+        assert run_campaign([good], cache=cache, jobs=1).n_ok == 1
+        pair = [bad, good] if bad_first else [good, bad]
+        result = run_campaign(pair, cache=cache, jobs=1)
+        records = {r["name"]: r for r in result.records}
+        assert records["good"]["cache_hit"] is True
+        assert records["bad"]["status"] == "failed"
+        assert records["bad"]["cache_hit"] is False
+        assert records["bad"]["cache_key"] is None
 
 
 class TestRegistry:
