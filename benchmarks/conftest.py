@@ -1,6 +1,7 @@
 """Benchmark fixtures: the flow pipeline runs once per session; each bench
 regenerates one paper figure/table from the shared results and saves its
-series as CSV under benchmarks/artifacts/."""
+series as CSV under benchmarks/artifacts/ (wall-clock tables under the
+git-ignored benchmarks/artifacts/timing/)."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import MacromodelingFlow, make_paper_testcase
+from repro import FlowOptions, make_paper_testcase, run_flow
 
 ARTIFACTS = Path(__file__).parent / "artifacts"
 
@@ -21,18 +22,29 @@ def artifacts_dir():
 
 
 @pytest.fixture(scope="session")
+def timing_artifacts_dir(artifacts_dir):
+    """Outputs that record wall-clock times: every run rewrites them, so
+    the directory is git-ignored (CI uploads it with the rest)."""
+    path = artifacts_dir / "timing"
+    path.mkdir(exist_ok=True)
+    return path
+
+
+@pytest.fixture(scope="session")
 def testcase():
     return make_paper_testcase()
 
 
 @pytest.fixture(scope="session")
-def flow():
-    return MacromodelingFlow()
+def flow_options():
+    return FlowOptions()
 
 
 @pytest.fixture(scope="session")
-def flow_result(flow, testcase):
-    return flow.run(testcase.data, testcase.termination, testcase.observe_port)
+def flow_result(flow_options, testcase):
+    return run_flow(
+        testcase.data, testcase.termination, testcase.observe_port, flow_options
+    )
 
 
 def save_series(path: Path, header: list[str], columns: list[np.ndarray]) -> None:

@@ -9,10 +9,13 @@ The timed kernel is the weighted fit (including refinement rounds).
 import numpy as np
 
 from benchmarks.conftest import emit, save_series
+from repro.api.stages import compute_base_weights, refine_weighted_fit
 from repro.sensitivity.zpdn import target_impedance_of_model
 
 
-def test_fig2_target_impedance_fit(benchmark, testcase, flow, flow_result, artifacts_dir):
+def test_fig2_target_impedance_fit(
+    benchmark, testcase, flow_options, flow_result, artifacts_dir
+):
     data = testcase.data
     omega, f = data.omega, data.frequencies
     zref = flow_result.reference_impedance
@@ -47,9 +50,10 @@ def test_fig2_target_impedance_fit(benchmark, testcase, flow, flow_result, artif
     assert rel_std[low].max() > 5 * rel_wtd[low].max()
 
     def weighted_fit_kernel():
-        base = flow.base_weights(data, flow_result.xi, zref)
-        return flow.fit_weighted(
-            data, testcase.termination, testcase.observe_port, base, zref
+        base = compute_base_weights(flow_options, flow_result.xi, zref)
+        return refine_weighted_fit(
+            flow_options, data, testcase.termination, testcase.observe_port,
+            base, zref,
         )
 
     benchmark.pedantic(weighted_fit_kernel, rounds=1, iterations=1)

@@ -19,7 +19,7 @@ from repro.vectfit.core import vector_fit
 from repro.vectfit.options import VFOptions
 
 
-def test_tabD_overhead(benchmark, testcase, flow_result, artifacts_dir):
+def test_tabD_overhead(benchmark, testcase, flow_result, timing_artifacts_dir):
     data = testcase.data
     timings = {}
 
@@ -83,7 +83,7 @@ def test_tabD_overhead(benchmark, testcase, flow_result, artifacts_dir):
         f"  overhead ratio: {weighting_cost / baseline_cost:.2f} "
         "(claim holds if < 1)",
     ]
-    emit(artifacts_dir / "tabD_overhead.txt", "\n".join(lines))
+    emit(timing_artifacts_dir / "tabD_overhead.txt", "\n".join(lines))
 
     assert weighting_cost < baseline_cost
 

@@ -20,7 +20,7 @@ from repro.vectfit.core import vector_fit
 from repro.vectfit.options import VFOptions
 
 
-def test_tabG_scaling(benchmark, artifacts_dir):
+def test_tabG_scaling(benchmark, timing_artifacts_dir):
     timings = {}
 
     def timed(label, fn):
@@ -63,7 +63,7 @@ def test_tabG_scaling(benchmark, artifacts_dir):
         )
     for label, seconds in timings.items():
         lines.append(f"  {label:<28s} {seconds:8.2f} s")
-    emit(artifacts_dir / "tabG_scaling.txt", "\n".join(lines))
+    emit(timing_artifacts_dir / "tabG_scaling.txt", "\n".join(lines))
 
     assert fit.rms_error < 0.05
     if enforcement is not None:

@@ -82,7 +82,7 @@ def _timed_cli(argv) -> float:
     return time.perf_counter() - started
 
 
-def test_tabH_campaign_scaling(artifacts_dir, tmp_path):
+def test_tabH_campaign_scaling(timing_artifacts_dir, tmp_path):
     spec = CampaignSpec.from_axes("tabH", _BASE, _AXES)
     n_scenarios = len(spec.expand())
     assert n_scenarios == 24  # the 20+-scenario acceptance bar
@@ -170,7 +170,7 @@ def test_tabH_campaign_scaling(artifacts_dir, tmp_path):
     pool_speedup = t_serial8 / max(t_parallel8, 1e-9)
 
     save_series(
-        artifacts_dir / "tabH_campaign_scaling.csv",
+        timing_artifacts_dir / "tabH_campaign_scaling.csv",
         ["phase_index", "n_runs", "wall_s", "ok", "failed",
          "cache_hits", "resumed"],
         [
@@ -212,7 +212,7 @@ def test_tabH_campaign_scaling(artifacts_dir, tmp_path):
         + (f"floor {_POOL_SPEEDUP_FLOOR}x)" if pool_asserted
            else "informational on this machine)"),
     ]
-    emit(artifacts_dir / "tabH_summary.txt", "\n".join(lines))
+    emit(timing_artifacts_dir / "tabH_summary.txt", "\n".join(lines))
 
     assert resume_speedup >= _SPEEDUP_FLOOR
     assert cache_speedup >= _SPEEDUP_FLOOR

@@ -95,7 +95,7 @@ def _disable_half_size(*args, **kwargs):
     raise ValueError("half-size eigensolve disabled for the reference run")
 
 
-def test_tabI_fast_passivity(artifacts_dir, monkeypatch):
+def test_tabI_fast_passivity(timing_artifacts_dir, monkeypatch):
     lines = [
         "Table I -- fast passivity engine: enforcement wall time by "
         "checker strategy",
@@ -177,7 +177,7 @@ def test_tabI_fast_passivity(artifacts_dir, monkeypatch):
         f"{PR7_LARGE_EXACT_ENFORCEMENT_SECONDS:.2f} s (full-size "
         "Hamiltonian eigensolve, historical; other machine)",
     ]
-    emit(artifacts_dir / "tabI_fast_passivity.txt", "\n".join(lines))
+    emit(timing_artifacts_dir / "tabI_fast_passivity.txt", "\n".join(lines))
 
     # Half-size Hamiltonian acceptance, structural part (any hardware):
     # every exact check of the large-case run takes the n x n structured
@@ -206,7 +206,7 @@ def test_tabI_fast_passivity(artifacts_dir, monkeypatch):
         assert large_exact_seconds < large_full_size_seconds
 
 
-def test_tabI_perf_smoke(artifacts_dir):
+def test_tabI_perf_smoke(timing_artifacts_dir):
     """CI perf smoke: the small case must enforce quickly.
 
     Generous threshold -- the fast engine finishes in well under a
@@ -220,13 +220,13 @@ def test_tabI_perf_smoke(artifacts_dir):
     assert fast.report_after.worst_sigma <= 1.0
     assert t_fast < 30.0
     emit(
-        artifacts_dir / "tabI_perf_smoke.txt",
+        timing_artifacts_dir / "tabI_perf_smoke.txt",
         f"perf smoke: small-case fast enforcement {t_fast:.2f} s "
         f"(threshold 30 s), converged={fast.converged}",
     )
 
 
-def test_tabI_half_size_hamiltonian_engaged(artifacts_dir):
+def test_tabI_half_size_hamiltonian_engaged(timing_artifacts_dir):
     """CI perf smoke: the exact checker must run the half-size eigensolve.
 
     Machine-independent structural assertion backing the wall-clock
@@ -254,7 +254,7 @@ def test_tabI_half_size_hamiltonian_engaged(artifacts_dir):
         rtol=1e-6, atol=1e-9,
     )
     emit(
-        artifacts_dir / "tabI_half_size_smoke.txt",
+        timing_artifacts_dir / "tabI_half_size_smoke.txt",
         f"half-size exact check: {t_half:.3f} s, "
         f"n_half_size_checks={checker.n_half_size_checks}, "
         f"worst sigma {report.worst_sigma:.8f} "

@@ -63,7 +63,7 @@ def _timed_fit(data, n_poles, kernel, repeats=1):
     return result, best
 
 
-def test_tabJ_fast_vectfit(artifacts_dir):
+def test_tabJ_fast_vectfit(timing_artifacts_dir):
     lines = [
         "Table J -- fast vector-fitting engine: wall time by kernel",
         "  (reference = per-column Python loops; batched = stacked LAPACK "
@@ -165,7 +165,7 @@ def test_tabJ_fast_vectfit(artifacts_dir):
     ]
 
     save_series(
-        artifacts_dir / "tabJ_fast_vectfit.csv",
+        timing_artifacts_dir / "tabJ_fast_vectfit.csv",
         ["ports", "n_poles", "reference_s", "batched_s", "rms_rel_diff"],
         [
             np.array([row[1] for row in rows], dtype=float),
@@ -175,7 +175,7 @@ def test_tabJ_fast_vectfit(artifacts_dir):
             np.array([row[5] for row in rows]),
         ],
     )
-    emit(artifacts_dir / "tabJ_fast_vectfit.txt", "\n".join(lines))
+    emit(timing_artifacts_dir / "tabJ_fast_vectfit.txt", "\n".join(lines))
 
     assert warm_iters <= cold_iters
     if not os.environ.get("REPRO_SKIP_PERF_ASSERTS"):
@@ -192,7 +192,7 @@ def test_tabJ_fast_vectfit(artifacts_dir):
         )
 
 
-def test_tabJ_perf_smoke(artifacts_dir):
+def test_tabJ_perf_smoke(timing_artifacts_dir):
     """CI perf smoke: the small-case vector fit must stay fast.
 
     The batched kernel fits the small case (P = 9, K = 202, n = 12) in
@@ -210,7 +210,7 @@ def test_tabJ_perf_smoke(artifacts_dir):
     assert result.rms_error < 5e-3
     assert elapsed < 10.0
     emit(
-        artifacts_dir / "tabJ_perf_smoke.txt",
+        timing_artifacts_dir / "tabJ_perf_smoke.txt",
         f"perf smoke: small-case batched vector fit {elapsed:.3f} s "
         f"(budget 10 s), rms {result.rms_error:.3e}",
     )

@@ -98,7 +98,7 @@ def _hook_executions(snapshot) -> int:
     return int(snapshot["n_events"] + n_incr + n_spans)
 
 
-def test_tabK_telemetry_overhead(artifacts_dir):
+def test_tabK_telemetry_overhead(timing_artifacts_dir):
     seed = _seed()
     _timed_run(seed)  # warmup: JIT-free but primes caches/allocator
 
@@ -146,7 +146,7 @@ def test_tabK_telemetry_overhead(artifacts_dir):
         f"  (budget {DISABLED_BUDGET:.0%})",
         f"  events recorded                      {snapshot['n_events']:10d}",
     ]
-    emit(artifacts_dir / "tabK_telemetry_overhead.txt", "\n".join(lines))
+    emit(timing_artifacts_dir / "tabK_telemetry_overhead.txt", "\n".join(lines))
 
     assert snapshot["n_events"] > 0
     assert snapshot["counters"].get("vf.iterations", 0) > 0
@@ -158,7 +158,7 @@ def test_tabK_telemetry_overhead(artifacts_dir):
         assert recording_overhead < RECORDING_BUDGET
 
 
-def test_tabK_perf_smoke(artifacts_dir):
+def test_tabK_perf_smoke(timing_artifacts_dir):
     """CI perf smoke: disabled telemetry hooks must stay near-free.
 
     5 us/hook is ~100x the measured cost of the disabled fast path (one
@@ -168,7 +168,7 @@ def test_tabK_perf_smoke(artifacts_dir):
     per_hook = _disabled_call_cost(50_000) / 3.0
     assert per_hook < 5e-6
     emit(
-        artifacts_dir / "tabK_perf_smoke.txt",
+        timing_artifacts_dir / "tabK_perf_smoke.txt",
         f"perf smoke: disabled telemetry hook {per_hook * 1e9:.0f} ns "
         "(threshold 5000 ns)",
     )

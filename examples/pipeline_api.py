@@ -1,7 +1,7 @@
 """Pipeline API: embed the engine, insert a custom stage, swap a variant.
 
 Three things the composable pipeline engine (:mod:`repro.api`) gives you
-that the fixed ``MacromodelingFlow.run`` chain could not:
+beyond the fixed chain of :func:`repro.flow.run_flow`:
 
 1. **Embedding with per-stage caching** -- seed a
    :func:`~repro.api.pipeline.standard_pipeline` with in-memory data and
@@ -31,7 +31,6 @@ from repro.api import (
     ArtifactStore,
     PipelineStage,
     ReproConfig,
-    TimingObserver,
     WeightingStage,
     standard_pipeline,
 )
@@ -86,17 +85,17 @@ class SmoothedWeightingStage(WeightingStage):
 
 def describe(label, run):
     print(f"\n[{label}]")
-    for execution in run.executions:
+    for record in run.provenance():
         print(
-            f"  {execution.stage:<14s} {execution.status:<9s}"
-            f" {execution.seconds:7.3f}s"
+            f"  {record['stage']:<14s} {record['status']:<9s}"
+            f" {record['seconds']:7.3f}s"
         )
 
 
 def main():
     testcase = make_paper_testcase(n_frequencies=61, include_dc=False)
-    config = ReproConfig.from_flow_options(
-        FlowOptions(vf=VFOptions(n_poles=8), refinement_rounds=1)
+    config = ReproConfig(
+        flow=FlowOptions(vf=VFOptions(n_poles=8), refinement_rounds=1)
     )
     seed = {
         "network": testcase.data,
@@ -104,10 +103,9 @@ def main():
         "observe_port": testcase.observe_port,
     }
     store = ArtifactStore(tempfile.mkdtemp(prefix="repro-stages-"))
-    timer = TimingObserver()
 
     # 1. The stock flow, with the audit stage inserted mid-chain.
-    pipeline = standard_pipeline(store=store, observers=(timer,)).with_stage(
+    pipeline = standard_pipeline(store=store).with_stage(
         WeightBoostAuditStage(), after="weighting"
     )
     print("stage graph:")

@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro import MacromodelingFlow, make_paper_testcase
+from repro import make_paper_testcase, run_flow
 from repro.flow.metrics import (
     ModelAccuracyRow,
     impedance_error_report,
@@ -26,8 +26,7 @@ def main():
     print(testcase.summary())
     print()
 
-    flow = MacromodelingFlow()
-    result = flow.run(testcase.data, testcase.termination, testcase.observe_port)
+    result = run_flow(testcase.data, testcase.termination, testcase.observe_port)
 
     omega = testcase.data.omega
     low_band = (0.0, 2 * np.pi * 1e6)

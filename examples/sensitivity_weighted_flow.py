@@ -18,10 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import MacromodelingFlow, make_paper_testcase
+from repro import FlowOptions, make_paper_testcase
+from repro.api.stages import compute_base_weights, refine_weighted_fit
 from repro.passivity.check import check_passivity
+from repro.sensitivity.firstorder import sensitivity_analytic
+from repro.sensitivity.weightmodel import build_weight_model
 from repro.sensitivity.zpdn import target_impedance_of_model
 from repro.sparams.touchstone import write_touchstone
+from repro.vectfit.core import vector_fit
 
 
 def main(output_dir="flow_output"):
@@ -35,34 +39,37 @@ def main(output_dir="flow_output"):
     print(f"[1] scattering data: {data.n_ports} ports, "
           f"{data.n_frequencies} points -> {out / 'pdn_raw.s9p'}")
 
-    flow = MacromodelingFlow()
+    options = FlowOptions()
+    termination, port = testcase.termination, testcase.observe_port
 
     # Stage 2: standard VF.
-    standard = flow.fit_standard(data)
+    standard = vector_fit(data.omega, data.samples, options=options.vf)
     print(f"[2] standard VF: rms error {standard.rms_error:.2e}, "
           f"{standard.iterations} iterations, stable={standard.model.is_stable()}")
 
     # Stage 3: sensitivity.
-    xi = flow.compute_sensitivity(data, testcase.termination, testcase.observe_port)
+    xi = sensitivity_analytic(
+        data.samples, data.omega, termination, port, z0=data.z0
+    )
     from repro.sensitivity.zpdn import target_impedance
 
-    zref = target_impedance(
-        data.samples, data.omega, testcase.termination, testcase.observe_port
-    )
+    zref = target_impedance(data.samples, data.omega, termination, port)
     print(f"[3] sensitivity Xi: range {xi.min():.3g} .. {xi.max():.3g}; "
           f"relative Xi/|Z| spans "
           f"{(xi / np.abs(zref)).max() / (xi / np.abs(zref)).min():.0f}x")
 
     # Stage 4: weighted VF with refinement.
-    base = flow.base_weights(data, xi, zref)
-    weighted, final_weights = flow.fit_weighted(
-        data, testcase.termination, testcase.observe_port, base, zref
+    base = compute_base_weights(options, xi, zref)
+    weighted, final_weights = refine_weighted_fit(
+        options, data, termination, port, base, zref
     )
     print(f"[4] weighted VF: rms error {weighted.rms_error:.2e} "
-          f"(weights floored at {flow.options.weight_floor})")
+          f"(weights floored at {options.weight_floor})")
 
     # Stage 5: rational sensitivity model.
-    weight_model = flow.build_weight_model(data, base)
+    weight_model = build_weight_model(
+        data.omega, base, order=options.weight_model_order
+    )
     print(f"[5] sensitivity macromodel: order {weight_model.model.n_states}, "
           f"fit {weight_model.fit.rms_db_error:.2f} dB rms")
 
@@ -84,9 +91,7 @@ def main(output_dir="flow_output"):
 
     # Export the final passive macromodel responses and target impedance.
     final = enforced.model
-    z_final = target_impedance_of_model(
-        final, data.omega, testcase.termination, testcase.observe_port
-    )
+    z_final = target_impedance_of_model(final, data.omega, termination, port)
     table = np.column_stack(
         [data.frequencies, np.abs(zref), np.abs(z_final), xi, final_weights]
     )

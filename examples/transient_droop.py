@@ -11,14 +11,13 @@ Run:  python examples/transient_droop.py
 """
 
 
-from repro import MacromodelingFlow, make_paper_testcase
+from repro import make_paper_testcase, run_flow
 from repro.timedomain import close_loop, simulate_transient
 
 
 def main():
     testcase = make_paper_testcase()
-    flow = MacromodelingFlow()
-    result = flow.run(testcase.data, testcase.termination, testcase.observe_port)
+    result = run_flow(testcase.data, testcase.termination, testcase.observe_port)
 
     z_dc = abs(result.reference_impedance[0])
     print(f"Nominal DC target impedance: {z_dc * 1e3:.3f} mohm")

@@ -18,7 +18,7 @@ Public API tour
   content-addressed artifact store, the unified :class:`ReproConfig` and
   the event-observer hooks.  Every execution surface (``run_flow``, the
   CLI, the campaign executor) runs on it.
-* :mod:`repro.flow` -- the end-to-end pipeline (``MacromodelingFlow``).
+* :mod:`repro.flow` -- the end-to-end flow (``run_flow``, ``FlowResult``).
 * :mod:`repro.campaign` -- parallel scenario-sweep orchestration with
   content-addressed caching and an on-disk result registry.
 * :mod:`repro.ingest` -- external Touchstone data conditioning and
@@ -45,7 +45,6 @@ from repro.campaign import (
 from repro.flow.macromodel import (
     FlowOptions,
     FlowResult,
-    MacromodelingFlow,
     run_flow,
 )
 from repro.ingest import (
@@ -90,7 +89,6 @@ __all__ = [
     "run_campaign",
     "FlowOptions",
     "FlowResult",
-    "MacromodelingFlow",
     "run_flow",
     "ConditioningOptions",
     "IngestReport",

@@ -47,7 +47,6 @@ from repro.api.pipeline import (
     PipelineObserver,
     PipelineRun,
     StageExecution,
-    TimingObserver,
     file_pipeline,
     standard_pipeline,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "PipelineObserver",
     "PipelineRun",
     "StageExecution",
-    "TimingObserver",
     "file_pipeline",
     "standard_pipeline",
     "EnforceStage",

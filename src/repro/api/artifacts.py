@@ -207,11 +207,11 @@ class ArtifactStore:
     :meth:`repro.api.stages.PipelineStage.result_key`) to the dict of
     output artifacts that stage produced, or a run key (see
     :meth:`repro.api.pipeline.Pipeline.run_key`) to a campaign run's
-    ``{"model", "record"}``.  Lookups consult a process-local
-    memory layer first (so repeated pipelines in one process share decoded
-    objects for free); when ``root`` is given, entries are mirrored to
-    disk with atomic writes (temp file + rename), making results durable
-    across processes and sessions -- the resume story.
+    ``{"model", "record"}``.  Without a ``root`` the store lives in a
+    process-local dict.  With one, entries live only on disk, written
+    atomically (temp file + rename), which makes results durable across
+    processes and sessions -- the resume story -- and keeps a long-lived
+    store from holding every entry it ever read in memory.
 
     On disk, entries are JSON files under a two-level fan-out by key
     prefix, and a corrupt entry behaves like a miss, never an error.
@@ -221,7 +221,7 @@ class ArtifactStore:
         self.root = Path(root) if root is not None else None
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
-        self._memory: dict[str, dict] = {}
+        self._memory: dict[str, dict] = {}  # the entries when root is None
 
     def path(self, key: str) -> Path | None:
         """On-disk location of one entry (``None`` for memory-only stores)."""
@@ -231,12 +231,13 @@ class ArtifactStore:
 
     def get(self, key: str) -> dict | None:
         """Decoded output dict of one entry; ``None`` on miss."""
-        hit = self._memory.get(key)
-        if hit is not None:
-            obs.incr("artifact_store.hits")
-            return dict(hit)
         path = self.path(key)
-        if path is None or not path.exists():
+        if path is None:
+            hit = self._memory.get(key)
+            obs.incr("artifact_store.hits" if hit is not None
+                     else "artifact_store.misses")
+            return None if hit is None else dict(hit)
+        if not path.exists():
             obs.incr("artifact_store.misses")
             return None
         try:
@@ -251,16 +252,15 @@ class ArtifactStore:
         except (KeyError, ValueError, TypeError, OSError):
             obs.incr("artifact_store.misses")
             return None
-        self._memory[key] = values
         obs.incr("artifact_store.hits")
-        return dict(values)
+        return values
 
     def put(self, key: str, values: dict) -> None:
-        """Store one entry (memory always; disk atomically when enabled)."""
+        """Store one entry (on disk, atomically, when the store has a root)."""
         obs.incr("artifact_store.puts")
-        self._memory[key] = dict(values)
         path = self.path(key)
         if path is None:
+            self._memory[key] = dict(values)
             return
         payload = {
             "format": _STORE_FORMAT,
@@ -285,23 +285,21 @@ class ArtifactStore:
             raise
 
     def __contains__(self, key: str) -> bool:
-        if key in self._memory:
-            return True
         path = self.path(key)
-        return path is not None and path.exists()
+        return key in self._memory if path is None else path.exists()
 
     def __len__(self) -> int:
-        keys = set(self._memory)
-        if self.root is not None:
-            keys.update(p.stem for p in self.root.glob("*/*.json"))
-        return len(keys)
+        if self.root is None:
+            return len(self._memory)
+        return sum(1 for _ in self.root.glob("*/*.json"))
 
     def clear(self) -> int:
         """Drop all entries; returns how many were removed."""
-        keys = set(self._memory)
-        self._memory.clear()
-        if self.root is not None:
-            for path in self.root.glob("*/*.json"):
-                keys.add(path.stem)
-                path.unlink()
-        return len(keys)
+        if self.root is None:
+            removed = len(self._memory)
+            self._memory.clear()
+            return removed
+        paths = list(self.root.glob("*/*.json"))
+        for path in paths:
+            path.unlink()
+        return len(paths)

@@ -16,12 +16,11 @@ level (a typo in a config file fails loudly instead of silently running
 defaults), and accepts partial documents (missing keys take the composed
 defaults, which keeps old config files readable by newer versions).
 
-Deprecation shim: every pre-existing entry point keeps accepting a bare
-:class:`FlowOptions`; :meth:`ReproConfig.coerce` upgrades either form, and
-:meth:`ReproConfig.flow_options` recovers the legacy object.  Whole-run
-store keys (:meth:`repro.api.pipeline.Pipeline.run_key`) digest the full
-:meth:`ReproConfig.to_dict`, hence every ``FlowOptions`` field through
-:func:`options_to_dict`.
+The pipeline boundary (:meth:`repro.api.pipeline.Pipeline.run` and
+:meth:`~repro.api.pipeline.Pipeline.run_key`) takes a ``ReproConfig``
+only; ``ReproConfig(flow=options)`` wraps a bare :class:`FlowOptions`.
+Whole-run store keys digest the full :meth:`ReproConfig.to_dict`, hence
+every ``FlowOptions`` field through :func:`options_to_dict`.
 """
 
 from __future__ import annotations
@@ -166,44 +165,6 @@ class ReproConfig:
     @property
     def enforcement(self) -> EnforcementOptions:
         return self.flow.enforcement
-
-    # ------------------------------------------------------------------
-    # Deprecation shims (legacy FlowOptions call sites)
-    # ------------------------------------------------------------------
-    def flow_options(self) -> FlowOptions:
-        """The legacy flow-options object."""
-        return self.flow
-
-    @classmethod
-    def from_flow_options(
-        cls,
-        options: FlowOptions | None,
-        *,
-        ingest: ConditioningOptions | None = None,
-        validation: ValidationOptions | None = None,
-    ) -> "ReproConfig":
-        """Upgrade a legacy :class:`FlowOptions` to a full config."""
-        return cls(
-            flow=options or FlowOptions(),
-            ingest=ingest or ConditioningOptions(),
-            validation=validation or ValidationOptions(),
-        )
-
-    @classmethod
-    def coerce(
-        cls, value: "ReproConfig | FlowOptions | None"
-    ) -> "ReproConfig":
-        """Accept a config, a legacy ``FlowOptions``, or ``None``."""
-        if value is None:
-            return cls()
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, FlowOptions):
-            return cls.from_flow_options(value)
-        raise TypeError(
-            "expected ReproConfig, FlowOptions or None, got "
-            f"{type(value).__name__}"
-        )
 
     def replace(self, **changes: object) -> "ReproConfig":
         """Functional update (frozen dataclass convenience)."""

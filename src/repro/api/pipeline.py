@@ -56,6 +56,18 @@ STATUS_COMPUTED = "computed"
 _RUN_KEY_FORMAT = "repro.run-key/1"
 
 
+def _checked_config(config: ReproConfig | None) -> ReproConfig:
+    """The one config type a pipeline takes (``None`` = defaults)."""
+    if config is None:
+        return ReproConfig()
+    if not isinstance(config, ReproConfig):
+        raise TypeError(
+            f"expected a ReproConfig or None, got {type(config).__name__}; "
+            "wrap flow options as ReproConfig(flow=options)"
+        )
+    return config
+
+
 @dataclass(frozen=True)
 class StageExecution:
     """Provenance of one stage in one pipeline run."""
@@ -115,29 +127,6 @@ class EventObserver(PipelineObserver):
         self, stage: PipelineStage, execution: StageExecution
     ) -> None:
         self.on_event({"event": "stage.finish", **execution.to_dict()})
-
-
-class TimingObserver(PipelineObserver):
-    """Collects per-stage provenance; handy for tests and embedding."""
-
-    def __init__(self) -> None:
-        self.executions: list[StageExecution] = []
-
-    def on_stage_finish(
-        self, stage: PipelineStage, execution: StageExecution
-    ) -> None:
-        self.executions.append(execution)
-
-    def seconds(self) -> dict[str, float]:
-        """Accumulated wall seconds per stage name.
-
-        Stages that ran more than once (e.g. across repeated ``run``
-        calls observed by one instance) sum rather than overwrite.
-        """
-        totals: dict[str, float] = {}
-        for e in self.executions:
-            totals[e.stage] = totals.get(e.stage, 0.0) + e.seconds
-        return totals
 
 
 class ConsoleObserver(EventObserver):
@@ -311,7 +300,7 @@ class Pipeline:
                  stage.version]
                 for stage in self.stages
             ],
-            "config": ReproConfig.coerce(config).to_dict(),
+            "config": _checked_config(config).to_dict(),
             "seed": {name: artifact_digest(value) for name, value in seed.items()},
         }
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -329,8 +318,9 @@ class Pipeline:
         Parameters
         ----------
         config:
-            Unified configuration (or ``None`` for defaults; a legacy
-            ``FlowOptions`` is upgraded via :meth:`ReproConfig.coerce`).
+            Unified configuration, or ``None`` for defaults.  A bare
+            ``FlowOptions`` raises :class:`TypeError`; wrap it as
+            ``ReproConfig(flow=options)``.
         seed:
             Pre-existing artifacts by name.  A stage whose *every* output
             is seeded is skipped; seeding only part of a stage's outputs
@@ -339,7 +329,7 @@ class Pipeline:
             Stop once the named stage resolved -- partial runs for
             prewarming or debugging; downstream artifacts stay absent.
         """
-        config = ReproConfig.coerce(config)
+        config = _checked_config(config)
         if stop_after is not None:
             self._index_of(stop_after)  # fail fast on typos
         state: dict = dict(seed or {})

@@ -15,9 +15,10 @@ inputs.  Two consequences fall out of keying by content:
   executor's shared-standard-fit batching is now simply a store hit on
   :class:`StandardFitStage`'s key.
 
-The numerical path is exactly the legacy ``MacromodelingFlow.run`` chain
-(same functions, same operands, same order), so a pipeline-backed flow
-reproduces the legacy results to machine precision.
+The numerical path is exactly the original fixed chain of the flow (same
+functions, same operands, same order), so a pipeline-backed flow
+reproduces it to machine precision (``tests/test_api_pipeline.py`` keeps
+that chain inline as the reference).
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ A_HEADLINE_METRICS = ArtifactSpec(
 
 
 # ----------------------------------------------------------------------
-# Shared numerical helpers (also backing the legacy MacromodelingFlow
-# stage methods, so both APIs compute through one implementation)
+# Numerical helpers of the stages, also called directly by code that
+# runs one step of the flow on its own
 # ----------------------------------------------------------------------
 def compute_base_weights(
     options: FlowOptions, xi: np.ndarray, reference: np.ndarray

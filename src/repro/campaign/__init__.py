@@ -1,7 +1,7 @@
 """repro.campaign: parallel scenario-sweep orchestration.
 
-Turns the single-shot :class:`repro.flow.macromodel.MacromodelingFlow`
-into a batch engine:
+Turns the single-shot :func:`repro.flow.macromodel.run_flow` into a
+batch engine:
 
 * :mod:`repro.campaign.scenario` -- declarative scenario/campaign specs
   with Cartesian grid expansion and JSON persistence;

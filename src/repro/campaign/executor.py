@@ -13,7 +13,9 @@ workers get the misses, and the dispatcher stores what they compute.
 Failure isolation is two-layered: the worker converts any exception into a
 ``status="failed"`` record (one diverging scenario never aborts the
 campaign), and the dispatcher additionally guards ``future.result()`` so
-even a crashed worker process only fails its own scenario.
+even a crashed worker process only fails its own scenario.  Serial and
+pooled campaigns share that one dispatcher (:func:`_dispatch`); a serial
+one runs on an in-process executor instead of a process pool.
 
 Two batch-level optimizations live in :func:`run_campaign`:
 
@@ -40,10 +42,19 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from repro.api.artifacts import ArtifactStore
 from repro.api.config import ReproConfig
@@ -51,7 +62,7 @@ from repro.api.pipeline import standard_pipeline
 from repro.api.stages import StandardFitStage
 from repro.campaign.registry import CampaignRegistry
 from repro.campaign.scenario import EXTERNAL_DEFAULTS, CampaignSpec, ScenarioSpec
-from repro.flow.macromodel import FlowOptions, run_flow
+from repro.flow.macromodel import run_flow
 from repro.flow.metrics import accuracy_table
 from repro.obs import telemetry as obs
 from repro.obs.metrics import build_campaign_metrics, write_metrics_files
@@ -153,7 +164,7 @@ def default_jobs() -> int:
     return max(1, min(os.cpu_count() or 1, 8))
 
 
-def _run_key(data, termination, observe_port: int, options: FlowOptions) -> str:
+def _run_key(data, termination, observe_port: int, config: ReproConfig) -> str:
     """Store key of one scenario's whole-run entry.
 
     The one place a campaign derives it: the dispatcher's lookup pass
@@ -164,7 +175,7 @@ def _run_key(data, termination, observe_port: int, options: FlowOptions) -> str:
         "termination": termination,
         "observe_port": int(observe_port),
     }
-    return standard_pipeline().run_key(ReproConfig.from_flow_options(options), seed)
+    return standard_pipeline().run_key(config, seed)
 
 
 def _new_record(scenario: ScenarioSpec, attempt: int, **fields) -> dict:
@@ -237,13 +248,13 @@ def execute_scenario(
         if testcase is None:
             testcase = scenario.build_testcase()
         observe_port = scenario.resolve_observe_port(testcase)
-        options = scenario.flow_options()
+        config = scenario.config()
         build_s = time.perf_counter() - build_start
         if testcase.ingest is not None:
             record["ingest"] = testcase.ingest.to_dict()
         if (
             standard_fit is not None
-            and standard_fit.model.n_poles != options.vf.n_poles
+            and standard_fit.model.n_poles != config.vf.n_poles
         ):
             _LOG.warning(
                 "run %s: shared standard fit order mismatch, recomputing",
@@ -260,7 +271,7 @@ def execute_scenario(
         # scenario would roughly double a cold campaign's wall time for no
         # additional reuse.
         result = run_flow(testcase.data, testcase.termination,
-                          observe_port, options, standard_fit=standard_fit,
+                          observe_port, config, standard_fit=standard_fit,
                           store=ArtifactStore(store) if store else None,
                           store_stages=("standard_fit",))
         flow_s = time.perf_counter() - flow_start
@@ -373,21 +384,42 @@ def _worker_init(log_level: int | None, blas_limit: int | None) -> None:
         _WORKER_BLAS_METHOD = limit_blas_threads(blas_limit)
 
 
-def _run_pool(
+class _InProcessExecutor(Executor):
+    """Executor whose ``submit`` runs the call at once, in this process.
+
+    Serial campaigns dispatch through it, so they share the pooled
+    path's retries, backoff, budget and finalization while starting no
+    process.  Its futures are finished when ``submit`` returns, so no
+    deadline can interrupt a run.
+    """
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:  # noqa: BLE001 -- delivered via the future
+            future.set_exception(exc)
+        return future
+
+
+def _dispatch(
     todo: list[ScenarioSpec],
     policy: RetryPolicy,
     max_workers: int,
-    worker_log_level: int | None,
-    worker_blas: int | None,
+    new_executor,
     args_of,
     budget_ok,
     note_retry,
     finalize,
     failed_record,
 ) -> None:
-    """Pooled dispatch engine with deadlines, crash recovery and backoff.
+    """The campaign's one dispatch engine: deadlines, crash recovery, backoff.
 
-    Three failure channels are distinguished:
+    ``new_executor()`` returns the executor the scenarios run on: a
+    process pool, or :class:`_InProcessExecutor` for a serial campaign.
+    At most ``max_workers`` scenarios are in flight, so a deadline only
+    runs while its scenario does, and a serial campaign records each
+    run as it finishes.  Three failure channels are distinguished:
 
     * an *in-worker* exception returns a ``status="failed"`` record
       (``execute_scenario`` never raises) -- retried per the policy;
@@ -404,14 +436,11 @@ def _run_pool(
       exhausted).
 
     Retries re-enter through a ``waiting`` queue ordered by their
-    deterministic backoff due-times, so the schedule is a pure function
-    of run ids and attempt numbers.
+    deterministic backoff due-times, ahead of scenarios not yet started,
+    so the schedule is a pure function of run ids and attempt numbers.
     """
-    pool = ProcessPoolExecutor(
-        max_workers=max_workers,
-        initializer=_worker_init,
-        initargs=(worker_log_level, worker_blas),
-    )
+    pool = new_executor()
+    fresh = deque(todo)
     pending: dict = {}  # future -> (scenario, attempt, deadline)
     waiting: list[tuple[float, ScenarioSpec, int]] = []  # (due, ...)
     timeout_counts: dict[str, int] = {}
@@ -429,6 +458,18 @@ def _run_pool(
         future = pool.submit(execute_scenario, *args_of(scenario, attempt))
         pending[future] = (scenario, attempt, deadline)
 
+    def _fill() -> None:
+        while len(pending) < max_workers:
+            now = time.monotonic()
+            due = [i for i, item in enumerate(waiting) if item[0] <= now]
+            if due:
+                _due, scenario, attempt = waiting.pop(due[0])
+                _submit(scenario, attempt)
+            elif fresh:
+                _submit(fresh.popleft(), 0)
+            else:
+                return
+
     def _respawn() -> None:
         nonlocal pool
         for proc in list(getattr(pool, "_processes", {}).values()):
@@ -437,11 +478,7 @@ def _run_pool(
             except Exception:  # noqa: BLE001 -- already-dead processes
                 pass
         pool.shutdown(wait=False, cancel_futures=True)
-        pool = ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=_worker_init,
-            initargs=(worker_log_level, worker_blas),
-        )
+        pool = new_executor()
 
     def _requeue_or_fail(
         scenario: ScenarioSpec, attempt: int, error_code: str,
@@ -493,41 +530,32 @@ def _run_pool(
             finalize(record, model, attempt)
 
     try:
-        for scenario in todo:
-            _submit(scenario, 0)
-        while pending or waiting:
-            now = time.monotonic()
-            due = [item for item in waiting if item[0] <= now]
-            if due:
-                waiting[:] = [item for item in waiting if item[0] > now]
-                for _, scenario, attempt in due:
-                    _submit(scenario, attempt)
+        while pending or waiting or fresh:
+            _fill()
             if not pending:
                 # Everything is backing off; sleep until the next retry.
                 next_due = min(item[0] for item in waiting)
                 time.sleep(max(0.0, next_due - time.monotonic()))
                 continue
-            timeout = None
+            now = time.monotonic()
             candidates = [
                 deadline - now
                 for (_, _, deadline) in pending.values()
                 if deadline is not None
             ]
-            if waiting:
+            if waiting and len(pending) < max_workers:
                 candidates.append(min(item[0] for item in waiting) - now)
-            if candidates:
-                timeout = max(0.0, min(candidates))
+            timeout = max(0.0, min(candidates)) if candidates else None
             done, _ = wait(
                 list(pending), timeout=timeout,
                 return_when=FIRST_COMPLETED,
             )
 
             crash_victims: list[tuple[ScenarioSpec, int]] = []
-            for future in done:
-                entry = pending.pop(future, None)
-                if entry is None:
-                    continue
-                scenario, attempt, _deadline = entry
+            # Submission order, so simultaneous completions finalize
+            # deterministically.
+            for future in [f for f in pending if f in done]:
+                scenario, attempt, _deadline = pending.pop(future)
                 try:
                     record, model = future.result()
                 except BrokenProcessPool:
@@ -696,8 +724,7 @@ def _member_run(scenario: ScenarioSpec, base) -> tuple[str, PDNTestCase] | None:
             vrm_resistance=scenario.vrm_resistance,
             total_die_current=scenario.total_die_current,
         )
-        key = _run_key(base.data, termination, observe_port,
-                       scenario.flow_options())
+        key = _run_key(base.data, termination, observe_port, scenario.config())
     except Exception:  # noqa: BLE001 -- a lookup must never abort the run
         return None
     return key, replace(base, termination=termination, observe_port=observe_port)
@@ -790,11 +817,8 @@ def _shared_standard_fits(
     if store is not None and prefits:
         stage = StandardFitStage()
         for key, fit in prefits.items():
-            config = ReproConfig.from_flow_options(
-                members_of[key][0].flow_options()
-            )
             stage_key = stage.result_key(
-                config, {"network": bases[key].data}
+                members_of[key][0].config(), {"network": bases[key].data}
             )
             store.put(stage_key, {"standard_fit": fit})
         _LOG.info(
@@ -840,8 +864,12 @@ def run_campaign(
         whole runs and shared standard fits live there.  ``None``
         disables caching.
     jobs:
-        Worker processes; ``1`` runs serially in-process (deterministic
-        ordering, easiest debugging), ``>1`` uses a process pool.
+        Worker processes.  ``1``, or a campaign with a single scenario
+        to compute, runs serially in-process: no process starts and BLAS
+        stays uncapped.  ``>1`` uses a process pool.  Both go through
+        one dispatcher, so retries, backoff and the retry budget behave
+        the same; a serial campaign runs one scenario at a time, a due
+        retry before the next scenario not yet started.
     resume:
         Skip scenarios whose run ID already has a successful record in the
         registry; their stored records are returned with ``resumed=True``.
@@ -864,26 +892,28 @@ def run_campaign(
         Retry/timeout policy (:class:`~repro.resilience.RetryPolicy`);
         ``None`` runs every scenario once with no wall-clock budget.
         Backoff delays are deterministic functions of the run id and
-        attempt number, never of wall clock or RNG.
+        attempt number, never of wall clock or RNG.  ``timeout_s`` can
+        only stop a pooled run (by respawning the pool): an in-process
+        run cannot be killed and always runs to completion.
     retry_failed:
         Resume mode that re-runs *only* the scenarios whose registry
         records failed; successful records are returned as resumed and
         scenarios with no record at all are skipped.  Requires
         ``registry``.
     """
+    run = partial(
+        _run_campaign_impl, spec, registry=registry, cache=cache,
+        scenarios=scenarios, jobs=jobs, resume=resume,
+        worker_log_level=worker_log_level, name=name, share_fits=share_fits,
+        blas_threads=blas_threads, telemetry_dir=telemetry_dir, retry=retry,
+        retry_failed=retry_failed,
+    )
     if telemetry_dir is not None:
         with telemetry_session(
             telemetry_dir, label="campaign", kind="campaign",
             write_metrics=False,
         ) as tel:
-            result = _run_campaign_impl(
-                spec, registry=registry, cache=cache, scenarios=scenarios,
-                jobs=jobs, resume=resume,
-                worker_log_level=worker_log_level, name=name,
-                share_fits=share_fits, blas_threads=blas_threads,
-                telemetry_dir=telemetry_dir, retry=retry,
-                retry_failed=retry_failed,
-            )
+            result = run()
             runs = [
                 {
                     "run_id": record.get("run_id"),
@@ -912,12 +942,7 @@ def run_campaign(
                 telemetry_dir, tel, kind="campaign", payload=payload
             )
         return result
-    return _run_campaign_impl(
-        spec, registry=registry, cache=cache, scenarios=scenarios,
-        jobs=jobs, resume=resume, worker_log_level=worker_log_level,
-        name=name, share_fits=share_fits, blas_threads=blas_threads,
-        retry=retry, retry_failed=retry_failed,
-    )
+    return run()
 
 
 def _run_campaign_impl(
@@ -972,35 +997,27 @@ def _run_campaign_impl(
     started = time.perf_counter()
     by_id: dict[str, dict] = {}
 
-    todo: list[ScenarioSpec] = []
-    if retry_failed:
-        failed = registry.failed_run_ids()
+    todo = scenarios
+    if retry_failed or (resume and registry is not None):
+        # Successful records are served; retry_failed re-runs only the
+        # failed ones and skips scenarios without a record.
         completed = registry.completed_run_ids()
-        for scenario in scenarios:
-            if scenario.run_id in failed:
-                todo.append(scenario)
-            elif scenario.run_id in completed:
-                record = registry.load_result(scenario.run_id)
-                record["resumed"] = True
-                by_id[scenario.run_id] = record
-                _LOG.info("run %s: resumed from registry", scenario.run_id)
-            else:
-                _LOG.info(
-                    "run %s: no record to retry, skipped", scenario.run_id
-                )
-        _LOG.info("retry-failed: re-running %d failed run(s)", len(todo))
-    elif resume and registry is not None:
-        completed = registry.completed_run_ids()
+        failed = registry.failed_run_ids() if retry_failed else None
+        todo = []
         for scenario in scenarios:
             if scenario.run_id in completed:
                 record = registry.load_result(scenario.run_id)
                 record["resumed"] = True
                 by_id[scenario.run_id] = record
                 _LOG.info("run %s: resumed from registry", scenario.run_id)
-            else:
+            elif failed is None or scenario.run_id in failed:
                 todo.append(scenario)
-    else:
-        todo = scenarios
+            else:
+                _LOG.info(
+                    "run %s: no record to retry, skipped", scenario.run_id
+                )
+        if retry_failed:
+            _LOG.info("retry-failed: re-running %d failed run(s)", len(todo))
 
     def _finish(record: dict, model: PoleResidueModel | None) -> None:
         by_id[record["run_id"]] = record
@@ -1056,7 +1073,7 @@ def _run_campaign_impl(
         return scenario, store_dir, prefit, telemetry_dir, attempt, testcase
 
     # ------------------------------------------------------------------
-    # Retry bookkeeping, shared by the serial and pooled dispatchers.
+    # Retry bookkeeping of the dispatcher.
     # ------------------------------------------------------------------
     policy = retry or RetryPolicy()
     budget_left = [policy.retry_budget]  # None = unlimited
@@ -1111,50 +1128,29 @@ def _run_campaign_impl(
         )
 
     active_tel = obs.active()
+    new_executor: Callable[[], Executor]
     if jobs <= 1 or len(todo) <= 1:
-        if active_tel is not None:
-            active_tel.meta.setdefault("blas", {
-                "jobs": jobs, "blas_threads": None, "method": "uncapped",
-            })
-        for scenario in todo:
-            attempt = 0
-            while True:
-                record, model = execute_scenario(*_args(scenario, attempt))
-                if (
-                    record["status"] == "ok"
-                    or attempt >= policy.max_retries
-                    or not _budget_ok()
-                ):
-                    _finalize(record, model, attempt)
-                    break
-                backoff = policy.backoff_s(scenario.run_id, attempt + 1)
-                _note_retry(
-                    scenario.run_id, attempt, record.get("error_code"),
-                    record.get("error"), record.get("failed_stage"), backoff,
-                )
-                _LOG.warning(
-                    "run %s: attempt %d failed [%s]; retrying in %.2fs",
-                    scenario.run_id, attempt + 1,
-                    record.get("error_code"), backoff,
-                )
-                time.sleep(backoff)
-                attempt += 1
+        max_workers = 1
+        new_executor = _InProcessExecutor
+        blas_meta = {"jobs": jobs, "blas_threads": None, "method": "uncapped"}
     else:
         max_workers = min(jobs, len(todo))
         worker_blas = (
             blas_threads if blas_threads is not None
             else default_blas_threads(max_workers)
         )
-        if active_tel is not None:
-            active_tel.meta.setdefault("blas", {
-                "jobs": max_workers,
-                "blas_threads": worker_blas,
-                "method": "worker-init",
-            })
-        _run_pool(
-            todo, policy, max_workers, worker_log_level, worker_blas,
-            _args, _budget_ok, _note_retry, _finalize, _failed_record,
+        new_executor = partial(
+            ProcessPoolExecutor, max_workers=max_workers,
+            initializer=_worker_init, initargs=(worker_log_level, worker_blas),
         )
+        blas_meta = {"jobs": max_workers, "blas_threads": worker_blas,
+                     "method": "worker-init"}
+    if active_tel is not None:
+        active_tel.meta.setdefault("blas", blas_meta)
+    _dispatch(
+        todo, policy, max_workers, new_executor,
+        _args, _budget_ok, _note_retry, _finalize, _failed_record,
+    )
 
     records = [
         by_id[scenario.run_id]

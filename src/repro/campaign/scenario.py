@@ -20,6 +20,7 @@ import re
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
+from repro.api.config import ReproConfig
 from repro.flow.macromodel import FlowOptions
 from repro.passivity.enforce import EnforcementOptions
 from repro.pdn.testcase import PDNTestCase, make_variant_testcase
@@ -127,9 +128,14 @@ class ScenarioSpec:
     # ------------------------------------------------------------------
     # Derived objects
     # ------------------------------------------------------------------
-    def flow_options(self) -> FlowOptions:
-        """The flow configuration this scenario describes."""
-        return FlowOptions(
+    def config(self) -> ReproConfig:
+        """The pipeline configuration this scenario describes.
+
+        Only the ``flow`` section varies; an external source is
+        conditioned when its test case is built, so ``ingest`` and
+        ``validation`` stay at their defaults (and run keys with them).
+        """
+        return ReproConfig(flow=FlowOptions(
             vf=VFOptions(n_poles=self.n_poles, kernel=self.vf_kernel),
             weight_mode=self.weight_mode,
             weight_floor=self.weight_floor,
@@ -140,7 +146,7 @@ class ScenarioSpec:
                 checker_strategy=self.checker_strategy,
                 exact_every=self.checker_exact_every,
             ),
-        )
+        ))
 
     def conditioning_options(self):
         """Conditioning configuration for an external ``data_file`` source."""

@@ -3,7 +3,6 @@
 from repro.flow.macromodel import (
     FlowOptions,
     FlowResult,
-    MacromodelingFlow,
     flow_result_from_run,
     run_flow,
 )
@@ -19,7 +18,6 @@ from repro.flow.metrics import (
 __all__ = [
     "FlowOptions",
     "FlowResult",
-    "MacromodelingFlow",
     "flow_result_from_run",
     "run_flow",
     "accuracy_table",

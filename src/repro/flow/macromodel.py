@@ -17,13 +17,17 @@ Chains every stage of the paper into one reproducible pipeline:
    variants.
 
 Execution is delegated to the composable pipeline engine of
-:mod:`repro.api`: :meth:`MacromodelingFlow.run` seeds a
+:mod:`repro.api`: :func:`run_flow` seeds a
 :func:`repro.api.pipeline.standard_pipeline` with the in-memory data and
 returns the assembled :class:`FlowResult`, so this module, the CLI and
 the campaign executor all share one execution path, one per-stage cache
 (pass ``store=``) and one event surface (pass ``observers=``).  The
-numerical chain is unchanged -- a pipeline-backed run reproduces the
-legacy results exactly.
+single stages are plain functions (:func:`repro.vectfit.core.vector_fit`,
+:func:`repro.sensitivity.firstorder.sensitivity_analytic`,
+:func:`repro.api.stages.compute_base_weights`,
+:func:`repro.api.stages.refine_weighted_fit`,
+:func:`repro.sensitivity.weightmodel.build_weight_model`) for callers
+that need one step on its own.
 
 Weighting scheme note (documented substitution): the paper weights by the
 raw sensitivity w_k = Xi_k, whose 80 dB decay on the Intel test case makes
@@ -46,14 +50,10 @@ from repro.passivity.enforce import (
     EnforcementResult,
 )
 from repro.pdn.termination import TerminationNetwork
-from repro.sensitivity.firstorder import sensitivity_analytic
-from repro.sensitivity.weightmodel import SensitivityWeight, build_weight_model
+from repro.sensitivity.weightmodel import SensitivityWeight
 from repro.sparams.network import NetworkData
-from repro.util.logging import get_logger
-from repro.vectfit.core import VFResult, vector_fit
+from repro.vectfit.core import VFResult
 from repro.vectfit.options import VFOptions
-
-_LOG = get_logger(__name__)
 
 
 @dataclass(frozen=True)
@@ -186,155 +186,6 @@ class FlowResult:
         }
 
 
-class MacromodelingFlow:
-    """Driver object running the full paper pipeline on one data set."""
-
-    def __init__(self, options: FlowOptions | None = None) -> None:
-        self.options = options or FlowOptions()
-
-    # ------------------------------------------------------------------
-    # Individual stages (usable standalone)
-    # ------------------------------------------------------------------
-    def fit_standard(self, data: NetworkData) -> VFResult:
-        """Stage 1: plain vector fit (paper eq. 4)."""
-        return vector_fit(data.omega, data.samples, options=self.options.vf)
-
-    def compute_sensitivity(
-        self,
-        data: NetworkData,
-        termination: TerminationNetwork,
-        observe_port: int,
-    ) -> np.ndarray:
-        """Stage 2: first-order sensitivity Xi_k (paper eq. 5)."""
-        return sensitivity_analytic(
-            data.samples, data.omega, termination, observe_port, z0=data.z0
-        )
-
-    def base_weights(
-        self,
-        data: NetworkData,
-        xi: np.ndarray,
-        reference: np.ndarray,
-    ) -> np.ndarray:
-        """Normalized, floored fitting weights from the sensitivity.
-
-        Delegates to :func:`repro.api.stages.compute_base_weights`, the
-        single implementation both APIs share; see there for the
-        degenerate-input handling (zero reference, flat sensitivity).
-        """
-        from repro.api.stages import compute_base_weights
-
-        return compute_base_weights(self.options, xi, reference)
-
-    def fit_weighted(
-        self,
-        data: NetworkData,
-        termination: TerminationNetwork,
-        observe_port: int,
-        weights: np.ndarray,
-        reference: np.ndarray,
-        initial_result: VFResult | None = None,
-    ) -> tuple[VFResult, np.ndarray]:
-        """Stage 3: weighted fit with iterative refinement (ref. [23]).
-
-        ``initial_result`` optionally supplies the fit of the unrefined
-        ``weights`` so the first vector fit is not recomputed.  Returns
-        the final fit and the final weight vector.
-        """
-        from repro.api.stages import refine_weighted_fit
-
-        return refine_weighted_fit(
-            self.options, data, termination, observe_port, weights,
-            reference, initial_result=initial_result,
-        )
-
-    def build_weight_model(
-        self, data: NetworkData, base_weights: np.ndarray
-    ) -> SensitivityWeight:
-        """Stage 4: rational sensitivity model Xi~(s) (paper eq. 17)."""
-        return build_weight_model(
-            data.omega,
-            base_weights,
-            order=self.options.weight_model_order,
-        )
-
-    # ------------------------------------------------------------------
-    # Full pipeline
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        data: NetworkData,
-        termination: TerminationNetwork,
-        observe_port: int,
-        *,
-        standard_fit: VFResult | None = None,
-        store=None,
-        store_stages=None,
-        observers=(),
-        config=None,
-    ) -> FlowResult:
-        """Run all stages; see :class:`FlowResult` for the outputs.
-
-        Executes through :func:`repro.api.pipeline.standard_pipeline`
-        seeded with the in-memory data, so per-stage caching and event
-        hooks come for free:
-
-        ``standard_fit``
-            optionally injects a precomputed standard fit of the *same*
-            data under the *same* VF options -- the campaign executor
-            shares one standard fit across all scenarios of a sweep that
-            reuse the scattering data (termination perturbations leave it
-            untouched).  The injected result must equal what
-            :meth:`fit_standard` would compute;
-            :func:`repro.vectfit.core.fit_many` guarantees that
-            determinism.  It seeds the ``standard_fit`` artifact (the
-            stage is skipped).
-        ``store`` / ``store_stages``
-            optional :class:`repro.api.artifacts.ArtifactStore` (or a
-            directory path for one): stage results are loaded from /
-            saved to it by content key, making the run resumable and
-            shareable.  ``store_stages`` optionally restricts the store
-            to the named stages (see :class:`repro.api.pipeline.
-            Pipeline`).
-
-        Note on stage decomposition: the legacy fixed chain computed the
-        standard and iteration-0 weighted fits in one joint
-        :func:`~repro.vectfit.core.fit_many` call; content-keyed stages
-        compute them independently (identical numbers, a few percent of
-        one cold run's wall time), which is what makes the standard fit
-        shareable across terminations via the store.
-        ``observers``
-            :class:`repro.api.pipeline.PipelineObserver` instances
-            receiving ``on_stage_start``/``on_stage_finish`` events.
-        ``config``
-            optional full :class:`repro.api.config.ReproConfig`; when
-            omitted one is built from ``self.options`` (validation at
-            its defaults).
-        """
-        from repro.api.artifacts import ArtifactStore
-        from repro.api.config import ReproConfig
-        from repro.api.pipeline import standard_pipeline
-
-        if data.kind != "s":
-            raise ValueError("the flow expects scattering data")
-        if config is None:
-            config = ReproConfig.from_flow_options(self.options)
-        if store is not None and not isinstance(store, ArtifactStore):
-            store = ArtifactStore(store)
-        seed: dict = {
-            "network": data,
-            "termination": termination,
-            "observe_port": int(observe_port),
-        }
-        if standard_fit is not None:
-            seed["standard_fit"] = standard_fit
-        pipeline = standard_pipeline(
-            store=store, store_stages=store_stages, observers=observers
-        )
-        run = pipeline.run(config, seed=seed)
-        return flow_result_from_run(run)
-
-
 def flow_result_from_run(run) -> FlowResult:
     """Assemble a :class:`FlowResult` from a pipeline run's artifacts.
 
@@ -372,26 +223,54 @@ def run_flow(
     store_stages=None,
     observers=(),
 ) -> FlowResult:
-    """Pure functional entry point to the full pipeline.
+    """Run all stages of the flow; see :class:`FlowResult` for the outputs.
 
     Module-level (hence picklable) so campaign workers can ship it to
     subprocesses; all state lives in the arguments, which are themselves
-    plain-data containers.  ``options`` accepts a legacy
-    :class:`FlowOptions` or a full :class:`repro.api.config.ReproConfig`;
-    ``standard_fit`` forwards a shared precomputed standard fit and
-    ``store``/``observers`` forward the pipeline engine's per-stage cache
-    and event hooks (see :meth:`MacromodelingFlow.run`).
-    """
-    from repro.api.config import ReproConfig
+    plain-data containers.
 
-    config = ReproConfig.coerce(options)
-    return MacromodelingFlow(config.flow).run(
-        data,
-        termination,
-        observe_port,
-        standard_fit=standard_fit,
-        store=store,
-        store_stages=store_stages,
-        observers=observers,
-        config=config,
+    ``options``
+        a :class:`repro.api.config.ReproConfig`, ``None`` for the
+        defaults, or a bare :class:`FlowOptions` (run with the other
+        config sections at their defaults).  This is the one entry that
+        accepts the bare flow section; :meth:`repro.api.pipeline.
+        Pipeline.run` takes only a ``ReproConfig``.
+    ``standard_fit``
+        optionally injects a precomputed standard fit of the *same* data
+        under the *same* VF options -- the campaign executor shares one
+        standard fit across all scenarios of a sweep that reuse the
+        scattering data (termination perturbations leave it untouched).
+        It must equal what :func:`repro.vectfit.core.vector_fit` would
+        compute; :func:`repro.vectfit.core.fit_many` guarantees that
+        determinism.  It seeds the ``standard_fit`` artifact (the stage
+        is skipped).
+    ``store`` / ``store_stages``
+        optional :class:`repro.api.artifacts.ArtifactStore` (or a
+        directory path for one): stage results are loaded from / saved
+        to it by content key, making the run resumable and shareable.
+        ``store_stages`` optionally restricts the store to the named
+        stages (see :class:`repro.api.pipeline.Pipeline`).
+    ``observers``
+        :class:`repro.api.pipeline.PipelineObserver` instances receiving
+        ``on_stage_start``/``on_stage_finish`` events.
+    """
+    from repro.api.artifacts import ArtifactStore
+    from repro.api.config import ReproConfig
+    from repro.api.pipeline import standard_pipeline
+
+    if data.kind != "s":
+        raise ValueError("the flow expects scattering data")
+    config = ReproConfig(flow=options) if isinstance(options, FlowOptions) else options
+    if store is not None and not isinstance(store, ArtifactStore):
+        store = ArtifactStore(store)
+    seed: dict = {
+        "network": data,
+        "termination": termination,
+        "observe_port": int(observe_port),
+    }
+    if standard_fit is not None:
+        seed["standard_fit"] = standard_fit
+    pipeline = standard_pipeline(
+        store=store, store_stages=store_stages, observers=observers
     )
+    return flow_result_from_run(pipeline.run(config, seed=seed))

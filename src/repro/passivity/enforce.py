@@ -30,7 +30,6 @@ from repro.passivity.engine import CheckerOptions, PassivityChecker, is_reciproc
 from repro.passivity.perturbation import build_constraints
 from repro.passivity.qp import solve_block_qp
 from repro.resilience import faultinject
-from repro.resilience.errors import ReproError
 from repro.statespace.poleresidue import PoleResidueModel
 from repro.util.logging import get_logger
 
@@ -303,31 +302,10 @@ def enforce_passivity(
 
         iterations += 1
         tic = time.perf_counter()
-        use_exact = checker.use_exact(iterations)
-        if use_exact:
-            report = checker.check_exact(current)
-            mode = "exact"
-        else:
-            try:
-                report = checker.check_sampling(current)
-                mode = "sampling"
-            except ReproError:
-                # Sampling sweep failed outright (non-finite sigma):
-                # escalate to the exact Hamiltonian test -- the fast
-                # path is an accelerator, never a dependency.
-                obs.incr("fallback.checker_exact")
-                report = checker.check_exact(current)
-                mode = "sampling>exact"
-            if mode == "sampling" and _is_passive(report, options):
-                # Sampling is not conclusive: certify before declaring
-                # success.  A failed certificate re-enters the loop with
-                # the exact report's bands.
-                report = checker.check_exact(current)
-                if not _is_passive(report, options):
-                    # The sweep missed a violation strictly between
-                    # grid points.
-                    obs.incr("fallback.checker_exact")
-                mode = "sampling+certify"
+        # A passing sampling sweep is certified inside check(); a failed
+        # certificate re-enters the loop with the exact report's bands.
+        report = checker.check(current, iteration=iterations)
+        mode = checker.last_mode
         report_is_exact = mode != "sampling"
         check_s = time.perf_counter() - tic
 

@@ -181,6 +181,8 @@ class PassivityChecker:
                 except ValueError:
                     self._half_invariants = None
         self._known_points = np.zeros(0)
+        #: Path the last :meth:`check` took (see there); empty before.
+        self.last_mode = ""
         self.n_exact_checks = 0
         self.n_sampling_checks = 0
         self.n_half_size_checks = 0
@@ -206,27 +208,38 @@ class PassivityChecker:
         a *passing* sampling sweep is never trusted on its own -- it is
         immediately confirmed (or refuted) by the exact Hamiltonian
         test, so an ``is_passive=True`` report from this method is
-        always an exact certificate.  A sampling sweep that fails
-        outright (non-finite sigma, poisoned grid) escalates to the
-        exact check as well -- the fast path is an accelerator, never a
-        correctness dependency; each escalation increments the
-        ``fallback.checker_exact`` counter.
+        always an exact certificate (the sample-then-certify scheme of
+        arXiv:2011.02789).  A sampling sweep that fails outright
+        (non-finite sigma, poisoned grid) escalates to the exact check
+        as well -- the fast path is an accelerator, never a correctness
+        dependency.  Each escalation, and each passing sweep the exact
+        test refutes, increments the ``fallback.checker_exact`` counter.
+
+        :attr:`last_mode` records the path taken: ``"exact"``,
+        ``"sampling"`` (a failing sweep, the only non-exact report),
+        ``"sampling>exact"`` (escalated) or ``"sampling+certify"``.
         """
         if self.use_exact(iteration):
+            self.last_mode = "exact"
             return self.check_exact(model)
         try:
             report = self.check_sampling(model)
         except ReproError:
             obs.incr("fallback.checker_exact")
+            self.last_mode = "sampling>exact"
             return self.check_exact(model)
-        if report.is_passive or report.worst_sigma <= 1.0:
-            exact = self.check_exact(model)
-            if report.is_passive and not exact.is_passive:
-                # Sampling-grid disagreement: the sweep missed a
-                # violation strictly between grid points.
-                obs.incr("fallback.checker_exact")
-            report = exact
-        return report
+        # A sampling report is passive iff its worst sigma <= 1 (bands
+        # exist only where sigma > 1), and so is an exact one.
+        if not report.is_passive:
+            self.last_mode = "sampling"
+            return report
+        self.last_mode = "sampling+certify"
+        exact = self.check_exact(model)
+        if not exact.is_passive:
+            # Sampling-grid disagreement: the sweep missed a violation
+            # strictly between grid points.
+            obs.incr("fallback.checker_exact")
+        return exact
 
     # ------------------------------------------------------------------
     # Exact (certifying) mode

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import MacromodelingFlow, make_paper_testcase
+from repro import make_paper_testcase, run_flow
 
 
 @pytest.fixture(scope="session")
@@ -25,8 +25,7 @@ def coarse_testcase():
 def flow_result(testcase):
     """Full pipeline run on the canonical test case (used by integration
     tests and shape-claim checks; ~10 s once per session)."""
-    flow = MacromodelingFlow()
-    return flow.run(testcase.data, testcase.termination, testcase.observe_port)
+    return run_flow(testcase.data, testcase.termination, testcase.observe_port)
 
 
 @pytest.fixture(scope="session")

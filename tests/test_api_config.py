@@ -127,17 +127,6 @@ class TestReproConfig:
         config.save(path)
         assert ReproConfig.load(path) == config
 
-    def test_coerce_shim(self):
-        legacy = FlowOptions(weight_mode="absolute")
-        upgraded = ReproConfig.coerce(legacy)
-        assert upgraded.flow is legacy
-        assert upgraded.flow_options() is legacy
-        assert ReproConfig.coerce(None) == ReproConfig()
-        config = ReproConfig()
-        assert ReproConfig.coerce(config) is config
-        with pytest.raises(TypeError):
-            ReproConfig.coerce({"flow": {}})
-
     def test_replace(self):
         config = ReproConfig().replace(
             validation=ValidationOptions(low_band_hz=2e6)

@@ -1,9 +1,7 @@
-"""Observer layer: timing accumulation, console output, event views."""
+"""Observer layer: run provenance, console output, event views."""
 
 import io
 import logging
-
-import pytest
 
 from repro.api import (
     ConsoleObserver,
@@ -12,7 +10,6 @@ from repro.api import (
     PipelineStage,
     ReproConfig,
     StageExecution,
-    TimingObserver,
 )
 from repro.api.artifacts import ArtifactSpec
 
@@ -34,23 +31,12 @@ class _CountStage(PipelineStage):
         return {f"{self.name}_token": self.calls}
 
 
-class TestTimingObserver:
-    def test_accumulates_across_repeated_stages(self):
-        timer = TimingObserver()
-        stage = _CountStage()
-        pipeline = Pipeline([stage], observers=[timer])
-        pipeline.run(ReproConfig())
-        pipeline.run(ReproConfig())
-        assert [e.stage for e in timer.executions] == ["count", "count"]
-        # seconds() sums repeated stages instead of last-one-wins.
-        total = sum(e.seconds for e in timer.executions)
-        assert timer.seconds() == {"count": pytest.approx(total)}
-
-    def test_keeps_execution_objects(self):
-        timer = TimingObserver()
-        Pipeline([_CountStage()], observers=[timer]).run(ReproConfig())
-        assert isinstance(timer.executions[0], StageExecution)
-        assert timer.executions[0].status == "computed"
+class TestRunProvenance:
+    def test_records_every_execution(self):
+        run = Pipeline([_CountStage()]).run(ReproConfig())
+        assert isinstance(run.executions[0], StageExecution)
+        assert run.executions[0].status == "computed"
+        assert run.provenance() == [e.to_dict() for e in run.executions]
 
 
 class TestStageExecution:

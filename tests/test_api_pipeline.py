@@ -22,7 +22,6 @@ from repro.api import (
     PipelineStage,
     ReproConfig,
     StandardFitStage,
-    TimingObserver,
     WeightingStage,
     artifact_digest,
     decode_artifact,
@@ -56,7 +55,8 @@ def fast_options():
 
 
 def legacy_chain(data, termination, observe_port, options):
-    """The pre-redesign ``MacromodelingFlow.run`` body, verbatim."""
+    """The flow's original fixed chain, verbatim: the reference the
+    pipeline-backed ``run_flow`` must reproduce."""
     omega = data.omega
     reference = target_impedance(
         data.samples, omega, termination, observe_port, z0=data.z0
@@ -158,7 +158,7 @@ class TestLegacyEquivalence:
         tc = make_paper_testcase(n_frequencies=11, include_dc=False)
         seed = {"network": tc.data, "termination": tc.termination,
                 "observe_port": tc.observe_port}
-        assert pipeline.run_key(FlowOptions(), seed) == (
+        assert pipeline.run_key(ReproConfig(), seed) == (
             "8d192813db9775b6b04fd1824ed49a278f66a1203b749c0958c95b7d910aa14d"
         )
 
@@ -169,7 +169,7 @@ class TestLegacyEquivalence:
         data = NetworkData(frequencies=f, samples=s)
         term = build_termination("0=r(50);1=r(50)", 2, observe_port=0)
         seed = {"network": data, "termination": term, "observe_port": 0}
-        assert pipeline.run_key(FlowOptions(), seed) == (
+        assert pipeline.run_key(ReproConfig(), seed) == (
             "e2f5551079020eb2ee22bd08ed7b437a47a8d099c39bd792be2192ac55383b44"
         )
 
@@ -219,7 +219,7 @@ class TestStoreAndResume:
     ):
         """Satellite acceptance: partial run, then resume; the stored fit
         artifact is reused (not recomputed) and is byte-identical."""
-        config = ReproConfig.from_flow_options(fast_options)
+        config = ReproConfig(flow=fast_options)
         seed = {
             "network": coarse.data,
             "termination": coarse.termination,
@@ -256,6 +256,17 @@ class TestStoreAndResume:
                 getattr(resumed_fit.model, attribute).tobytes()
                 == getattr(fresh["standard_fit"].model, attribute).tobytes()
             )
+
+    def test_disk_store_reads_disk(self, tmp_path):
+        """A disk store keeps no copy of what it read: once another
+        instance clears the root, a key read before is a miss."""
+        store = ArtifactStore(tmp_path / "stages")
+        key = "ab" * 32
+        store.put(key, {"x": np.arange(3.0)})
+        assert store.get(key) is not None
+        assert ArtifactStore(tmp_path / "stages").clear() == 1
+        assert store.get(key) is None
+        assert key not in store and len(store) == 0
 
     def test_second_run_is_fully_cached(self, coarse, fast_options, tmp_path):
         store = tmp_path / "stages"
@@ -309,7 +320,7 @@ class TestStoreAndResume:
         pipeline = standard_pipeline()
         with pytest.raises(ValueError, match="seed all of a stage's outputs"):
             pipeline.run(
-                ReproConfig.from_flow_options(fast_options),
+                ReproConfig(flow=fast_options),
                 seed={
                     "network": coarse.data,
                     "termination": coarse.termination,
@@ -427,7 +438,7 @@ class TestGraphAndComposition:
         pipeline = Pipeline([StandardFitStage()])
         with pytest.raises(TypeError, match="network.*NetworkData"):
             pipeline.run(
-                ReproConfig.from_flow_options(fast_options),
+                ReproConfig(flow=fast_options),
                 seed={"network": "not a network"},
             )
 
@@ -437,7 +448,6 @@ class TestGraphAndComposition:
         assert "validate:" in text
 
     def test_observers_see_every_stage(self, coarse, fast_options):
-        timer = TimingObserver()
         events = []
 
         class Recorder(PipelineObserver):
@@ -447,13 +457,13 @@ class TestGraphAndComposition:
             def on_stage_finish(self, stage, execution):
                 events.append(("finish", execution.stage, execution.status))
 
-        run_flow(
+        result = run_flow(
             coarse.data, coarse.termination, coarse.observe_port,
-            fast_options, observers=(timer, Recorder()),
+            fast_options, observers=(Recorder(),),
         )
         stages = ["standard_fit", "sensitivity", "weighting", "enforce",
                   "validate"]
-        assert [e.stage for e in timer.executions] == stages
+        assert [r["stage"] for r in result.stage_provenance] == stages
         assert [e for e in events if e[0] == "start"] == [
             ("start", name) for name in stages
         ]
@@ -486,7 +496,7 @@ class TestGraphAndComposition:
             WeightAuditStage(), after="weighting"
         )
         run = pipeline.run(
-            ReproConfig.from_flow_options(fast_options),
+            ReproConfig(flow=fast_options),
             seed={
                 "network": coarse.data,
                 "termination": coarse.termination,
@@ -509,7 +519,7 @@ class TestGraphAndComposition:
             "weighting", UniformWeighting()
         )
         run = pipeline.run(
-            ReproConfig.from_flow_options(fast_options),
+            ReproConfig(flow=fast_options),
             seed={
                 "network": coarse.data,
                 "termination": coarse.termination,
@@ -526,7 +536,40 @@ class TestGraphAndComposition:
         pipeline = file_pipeline(
             EXTERNAL_S2P, "0=r(1);1=rlc(r=0.2,c=1e-6)", observe_port=1
         )
-        run = pipeline.run(ReproConfig.from_flow_options(fast_options))
+        run = pipeline.run(ReproConfig(flow=fast_options))
         assert run["network"].n_ports == 2
         assert run["ingest_report"].n_ports == 2
         assert "weighted_enforced" in run
+
+
+class TestConfigBoundary:
+    def test_run_flow_wraps_flow_options(self, coarse, fast_options, monkeypatch):
+        """A bare FlowOptions given to run_flow runs exactly the
+        ReproConfig(flow=...) run: same run key, digest-equal results."""
+        keys = []
+        pipeline_run = Pipeline.run
+
+        def spy(self, config=None, seed=None, **kwargs):
+            keys.append(self.run_key(config, seed))
+            return pipeline_run(self, config, seed, **kwargs)
+
+        monkeypatch.setattr(Pipeline, "run", spy)
+        case = (coarse.data, coarse.termination, coarse.observe_port)
+        bare = run_flow(*case, fast_options)
+        wrapped = run_flow(*case, ReproConfig(flow=fast_options))
+        assert len(keys) == 2 and keys[0] == keys[1]
+        for name in ("standard_fit", "weighted_fit", "weight_model",
+                     "standard_enforced", "weighted_enforced"):
+            ours, theirs = getattr(bare, name), getattr(wrapped, name)
+            assert artifact_digest(ours.model) == artifact_digest(theirs.model)
+        assert artifact_digest(bare.final_weights) == artifact_digest(
+            wrapped.final_weights
+        )
+        assert bare.headline_metrics == wrapped.headline_metrics
+
+    def test_pipeline_rejects_bare_flow_options(self):
+        pipeline = Pipeline([StandardFitStage()])
+        with pytest.raises(TypeError, match="ReproConfig"):
+            pipeline.run(FlowOptions())
+        with pytest.raises(TypeError, match="ReproConfig"):
+            pipeline.run_key(FlowOptions(), {})

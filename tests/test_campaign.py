@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.api.artifacts import ArtifactStore
+from repro.api.config import ReproConfig
 from repro.api.stages import EnforceStage
 from repro.campaign import executor
 from repro.campaign.executor import (
@@ -68,11 +69,13 @@ class TestScenarioSpec:
         assert a.run_id != c.run_id
         assert a.run_id.startswith("case-")
 
-    def test_flow_options_mapping(self):
+    def test_config_mapping(self):
         scenario = fast_scenario(n_poles=7, weight_mode="absolute",
                                  enforcement_max_iterations=5)
-        options = scenario.flow_options()
-        assert isinstance(options, FlowOptions)
+        config = scenario.config()
+        assert isinstance(config, ReproConfig)
+        assert config == ReproConfig(flow=config.flow)
+        options = config.flow
         assert options.vf == VFOptions(n_poles=7)
         assert options.weight_mode == "absolute"
         assert options.enforcement.max_iterations == 5
@@ -415,13 +418,13 @@ class TestCacheAndFingerprint:
     def test_fingerprint_tracks_content(self):
         testcase = make_variant_testcase("small", n_frequencies=16,
                                          include_dc=False)
-        options = FlowOptions(vf=VFOptions(n_poles=4))
+        options = ReproConfig(flow=FlowOptions(vf=VFOptions(n_poles=4)))
         key = _run_key(testcase.data, testcase.termination, 0, options)
         assert key == _run_key(testcase.data, testcase.termination, 0, options)
         assert key != _run_key(testcase.data, testcase.termination, 1, options)
         assert key != _run_key(
             testcase.data, testcase.termination, 0,
-            FlowOptions(vf=VFOptions(n_poles=5)),
+            ReproConfig(flow=FlowOptions(vf=VFOptions(n_poles=5))),
         )
         perturbed = perturb_termination(testcase.termination,
                                         decap_c_scale=2.0)
@@ -538,7 +541,7 @@ class TestWarmPath:
             testcase = scenario.build_testcase()
             assert record["cache_key"] == _run_key(
                 testcase.data, testcase.termination,
-                scenario.resolve_observe_port(testcase), scenario.flow_options(),
+                scenario.resolve_observe_port(testcase), scenario.config(),
             )
             assert record["metrics"] == real_execute(scenario)[0]["metrics"]
         # Partially warm: only the miss runs, and the warm pass serves each

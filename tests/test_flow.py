@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.flow.macromodel import FlowOptions, MacromodelingFlow
+from repro.api.stages import compute_base_weights
+from repro.flow.macromodel import FlowOptions, run_flow
 from repro.flow.metrics import (
     ModelAccuracyRow,
     impedance_error_report,
@@ -12,6 +13,8 @@ from repro.flow.metrics import (
     relative_impedance_error,
     rms_scattering_error,
 )
+from repro.sensitivity.firstorder import sensitivity_analytic
+from repro.vectfit.core import vector_fit
 
 
 class TestFlowOptions:
@@ -33,40 +36,42 @@ class TestFlowOptions:
 
 class TestFlowStages:
     def test_standard_fit_stage(self, testcase):
-        flow = MacromodelingFlow()
-        result = flow.fit_standard(testcase.data)
+        result = vector_fit(
+            testcase.data.omega, testcase.data.samples,
+            options=FlowOptions().vf,
+        )
         assert result.model.n_poles == 12
         assert result.rms_error < 5e-3
 
     def test_sensitivity_stage(self, testcase):
-        flow = MacromodelingFlow()
-        xi = flow.compute_sensitivity(
-            testcase.data, testcase.termination, testcase.observe_port
+        data = testcase.data
+        xi = sensitivity_analytic(
+            data.samples, data.omega, testcase.termination,
+            testcase.observe_port, z0=data.z0,
         )
         assert xi.shape == (testcase.data.n_frequencies,)
         assert np.all(xi > 0)
 
-    def test_base_weights_floored_and_normalized(self, testcase, flow_result):
-        flow = MacromodelingFlow()
-        w = flow.base_weights(
-            testcase.data, flow_result.xi, flow_result.reference_impedance
+    def test_base_weights_floored_and_normalized(self, flow_result):
+        options = FlowOptions()
+        w = compute_base_weights(
+            options, flow_result.xi, flow_result.reference_impedance
         )
         assert np.isclose(w.max(), 1.0)
-        assert w.min() >= flow.options.weight_floor
+        assert w.min() >= options.weight_floor
 
-    def test_absolute_weight_mode(self, testcase, flow_result):
-        flow = MacromodelingFlow(FlowOptions(weight_mode="absolute"))
-        w = flow.base_weights(
-            testcase.data, flow_result.xi, flow_result.reference_impedance
+    def test_absolute_weight_mode(self, flow_result):
+        w = compute_base_weights(
+            FlowOptions(weight_mode="absolute"), flow_result.xi,
+            flow_result.reference_impedance,
         )
         expected = flow_result.xi / flow_result.xi.max()
         assert np.allclose(w, np.maximum(expected, 0.01))
 
     def test_non_scattering_data_rejected(self, testcase):
-        flow = MacromodelingFlow()
         ydata = testcase.data.with_samples(testcase.data.samples, kind="y")
         with pytest.raises(ValueError, match="scattering"):
-            flow.run(ydata, testcase.termination, testcase.observe_port)
+            run_flow(ydata, testcase.termination, testcase.observe_port)
 
 
 class TestFlowResult:

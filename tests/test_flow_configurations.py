@@ -8,7 +8,7 @@ on a coarse grid so they stay fast.
 import numpy as np
 import pytest
 
-from repro.flow.macromodel import FlowOptions, MacromodelingFlow
+from repro.flow.macromodel import FlowOptions, run_flow
 from repro.passivity.enforce import EnforcementOptions
 from repro.vectfit.options import VFOptions
 
@@ -20,38 +20,35 @@ def coarse(coarse_testcase):
 
 class TestWeightModes:
     def test_absolute_mode_runs(self, coarse):
-        flow = MacromodelingFlow(
+        result = run_flow(
+            coarse.data, coarse.termination, coarse.observe_port,
             FlowOptions(
                 vf=VFOptions(n_poles=10),
                 weight_mode="absolute",
                 refinement_rounds=0,
-            )
+            ),
         )
-        result = flow.run(coarse.data, coarse.termination, coarse.observe_port)
         assert result.weighted_enforced.model.n_poles == 10
 
     def test_zero_refinement_rounds(self, coarse):
-        flow = MacromodelingFlow(
-            FlowOptions(vf=VFOptions(n_poles=10), refinement_rounds=0)
+        result = run_flow(
+            coarse.data, coarse.termination, coarse.observe_port,
+            FlowOptions(vf=VFOptions(n_poles=10), refinement_rounds=0),
         )
-        result = flow.run(coarse.data, coarse.termination, coarse.observe_port)
         # Without refinement the final weights equal the base weights.
         assert np.allclose(result.final_weights, result.base_weights)
 
     def test_higher_floor_tightens_scattering(self, coarse):
-        low_floor = MacromodelingFlow(
-            FlowOptions(
-                vf=VFOptions(n_poles=10), weight_floor=0.005, refinement_rounds=0
-            )
+        low_floor = FlowOptions(
+            vf=VFOptions(n_poles=10), weight_floor=0.005, refinement_rounds=0
         )
-        high_floor = MacromodelingFlow(
-            FlowOptions(
-                vf=VFOptions(n_poles=10), weight_floor=0.5, refinement_rounds=0
-            )
+        high_floor = FlowOptions(
+            vf=VFOptions(n_poles=10), weight_floor=0.5, refinement_rounds=0
         )
         omega = coarse.data.omega
-        r_low = low_floor.run(coarse.data, coarse.termination, coarse.observe_port)
-        r_high = high_floor.run(coarse.data, coarse.termination, coarse.observe_port)
+        case = (coarse.data, coarse.termination, coarse.observe_port)
+        r_low = run_flow(*case, low_floor)
+        r_high = run_flow(*case, high_floor)
         err_low = np.abs(
             r_low.weighted_fit.model.frequency_response(omega) - coarse.data.samples
         ).max()
@@ -69,18 +66,19 @@ class TestEnforcementConfig:
             refinement_rounds=0,
             enforcement=EnforcementOptions(max_iterations=2),
         )
-        flow = MacromodelingFlow(options)
-        result = flow.run(coarse.data, coarse.termination, coarse.observe_port)
+        result = run_flow(
+            coarse.data, coarse.termination, coarse.observe_port, options
+        )
         assert result.standard_enforced.iterations <= 2
         assert result.weighted_enforced.iterations <= 2
 
     def test_weight_model_order_propagates(self, coarse):
-        flow = MacromodelingFlow(
+        result = run_flow(
+            coarse.data, coarse.termination, coarse.observe_port,
             FlowOptions(
                 vf=VFOptions(n_poles=10),
                 weight_model_order=5,
                 refinement_rounds=0,
-            )
+            ),
         )
-        result = flow.run(coarse.data, coarse.termination, coarse.observe_port)
         assert result.weight_model.model.n_states == 5

@@ -7,13 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.api.stages import compute_base_weights
 from repro.circuits.components import (
     OpenTermination,
     ResistiveTermination,
     SeriesRLC,
     ShortTermination,
 )
-from repro.flow.macromodel import FlowOptions, MacromodelingFlow
+from repro.flow.macromodel import FlowOptions
 from repro.ingest import (
     ConditioningOptions,
     build_termination,
@@ -279,36 +280,30 @@ def test_series_rlc_state_space_matches_admittance():
 # base_weights guards
 # ----------------------------------------------------------------------
 def test_base_weights_clamps_zero_reference():
-    flow = MacromodelingFlow(FlowOptions())
-    data = _passive_two_port(k=8)
     xi = np.linspace(1.0, 2.0, 8)
     reference = np.linspace(1.0, 2.0, 8).astype(complex)
     reference[3] = 0.0  # a zero target-impedance sample
-    weights = flow.base_weights(data, xi, reference)
+    weights = compute_base_weights(FlowOptions(), xi, reference)
     assert np.all(np.isfinite(weights))
     assert np.max(weights) == 1.0
 
 
 def test_base_weights_uniform_fallback_for_flat_sensitivity():
-    flow = MacromodelingFlow(FlowOptions())
-    data = _passive_two_port(k=8)
-    weights = flow.base_weights(
-        data, np.zeros(8), np.ones(8, dtype=complex)
+    weights = compute_base_weights(
+        FlowOptions(), np.zeros(8), np.ones(8, dtype=complex)
     )
     assert np.array_equal(weights, np.ones(8))
 
 
 def test_base_weights_rejects_nonfinite_inputs():
-    flow = MacromodelingFlow(FlowOptions())
-    data = _passive_two_port(k=4)
+    options = FlowOptions()
     with pytest.raises(ValueError, match="non-finite"):
-        flow.base_weights(
-            data, np.array([1.0, np.inf, 1.0, 1.0]), np.ones(4, dtype=complex)
+        compute_base_weights(
+            options, np.array([1.0, np.inf, 1.0, 1.0]),
+            np.ones(4, dtype=complex),
         )
     with pytest.raises(ValueError, match="relative"):
-        flow.base_weights(
-            data, np.ones(4), np.zeros(4, dtype=complex)
-        )
+        compute_base_weights(options, np.ones(4), np.zeros(4, dtype=complex))
 
 
 # ----------------------------------------------------------------------

@@ -492,6 +492,33 @@ class TestCampaignRetries:
 
 
 class TestCampaignPool:
+    def test_serial_and_pooled_dispatch_agree(self):
+        # Two scenarios: with a single one to compute, jobs=2 runs
+        # in-process too.
+        scenarios = [
+            fast_scenario("flaky"),
+            fast_scenario("steady", decap_c_scale=1.1),
+        ]
+        policy = RetryPolicy(max_retries=1, backoff_base_s=0.0)
+        outcomes = {}
+        for jobs in (1, 2):
+            with fault_plan(
+                FaultSpec(site="scenario.run", action="raise",
+                          scenario="flaky", attempt=0)
+            ):
+                result = run_campaign(scenarios, jobs=jobs, retry=policy)
+            outcomes[jobs] = [
+                (record["name"], record["status"], record["attempts"],
+                 [(retry["error_code"], retry["backoff_s"])
+                  for retry in record.get("retries", [])])
+                for record in result.records
+            ]
+        assert outcomes[1] == outcomes[2]
+        assert outcomes[1] == [
+            ("flaky", "ok", 2, [("injected_fault", 0.0)]),
+            ("steady", "ok", 1, []),
+        ]
+
     def test_worker_crash_detected_and_requeued(self):
         scenarios = [
             fast_scenario("crash"),
