@@ -33,7 +33,6 @@ import base64
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
@@ -200,6 +199,18 @@ def artifact_digest(value) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def write_text_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` via a temp file and a rename: readers see
+    the old file or the whole new one, never a partial write."""
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 class ArtifactStore:
     """Content-addressed store of stage outputs and whole runs.
 
@@ -270,19 +281,7 @@ class ArtifactStore:
             },
         }
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        write_text_atomic(path, json.dumps(payload))
 
     def __contains__(self, key: str) -> bool:
         path = self.path(key)

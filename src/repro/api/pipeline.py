@@ -292,6 +292,14 @@ class Pipeline:
         retires every stored run that stage took part in, exactly as it
         retires the stage's own store entries.
         """
+        return self.key_from_digests(
+            config,
+            {name: artifact_digest(value) for name, value in seed.items()},
+        )
+
+    def key_from_digests(self, config: ReproConfig | None, digests: dict[str, str]) -> str:
+        """:meth:`run_key` from each seed artifact's :func:`artifact_digest`,
+        for callers that key many runs sharing one (large) artifact."""
         payload = {
             "format": _RUN_KEY_FORMAT,
             "stages": [
@@ -301,7 +309,7 @@ class Pipeline:
                 for stage in self.stages
             ],
             "config": _checked_config(config).to_dict(),
-            "seed": {name: artifact_digest(value) for name, value in seed.items()},
+            "seed": digests,
         }
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()

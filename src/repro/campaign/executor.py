@@ -56,7 +56,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable
 
-from repro.api.artifacts import ArtifactStore
+from repro.api.artifacts import ArtifactStore, artifact_digest
 from repro.api.config import ReproConfig
 from repro.api.pipeline import standard_pipeline
 from repro.api.stages import StandardFitStage
@@ -164,18 +164,18 @@ def default_jobs() -> int:
     return max(1, min(os.cpu_count() or 1, 8))
 
 
-def _run_key(data, termination, observe_port: int, config: ReproConfig) -> str:
+def _run_key(data_digest: str, termination, observe_port: int, config: ReproConfig) -> str:
     """Store key of one scenario's whole-run entry.
 
     The one place a campaign derives it: the dispatcher's lookup pass
-    (:func:`_member_run`) reads whole runs under it and stores computed ones.
+    (:func:`_member_run`) reads whole runs under it and stores computed
+    ones.  The data enters as its digest, computed once per data group.
     """
-    seed = {
-        "network": data,
-        "termination": termination,
-        "observe_port": int(observe_port),
-    }
-    return standard_pipeline().run_key(config, seed)
+    return standard_pipeline().key_from_digests(config, {
+        "network": data_digest,
+        "termination": artifact_digest(termination),
+        "observe_port": artifact_digest(int(observe_port)),
+    })
 
 
 def _new_record(scenario: ScenarioSpec, attempt: int, **fields) -> dict:
@@ -694,8 +694,11 @@ def _group_bases(scenarios: list[ScenarioSpec]) -> dict[tuple, object]:
     return bases
 
 
-def _member_run(scenario: ScenarioSpec, base) -> tuple[str, PDNTestCase] | None:
-    """A member's whole-run key and test case, derived from its group's base.
+def _member_run(
+    scenario: ScenarioSpec, base, data_digest: str | None
+) -> tuple[str, PDNTestCase] | None:
+    """A member's whole-run key and test case, derived from its group's base
+    and the digest of the base's data.
 
     Loading knobs never touch the group's data, so this is the member's
     own test case without a build of its own.  ``None`` for a member
@@ -724,7 +727,7 @@ def _member_run(scenario: ScenarioSpec, base) -> tuple[str, PDNTestCase] | None:
             vrm_resistance=scenario.vrm_resistance,
             total_die_current=scenario.total_die_current,
         )
-        key = _run_key(base.data, termination, observe_port, scenario.config())
+        key = _run_key(data_digest, termination, observe_port, scenario.config())
     except Exception:  # noqa: BLE001 -- a lookup must never abort the run
         return None
     return key, replace(base, termination=termination, observe_port=observe_port)
@@ -1000,17 +1003,18 @@ def _run_campaign_impl(
     todo = scenarios
     if retry_failed or (resume and registry is not None):
         # Successful records are served; retry_failed re-runs only the
-        # failed ones and skips scenarios without a record.
-        completed = registry.completed_run_ids()
-        failed = registry.failed_run_ids() if retry_failed else None
+        # failed ones and skips scenarios without a record.  An unreadable
+        # record (None) was cut off mid-write, so it counts as failed.
+        stored = registry.stored_records()
         todo = []
         for scenario in scenarios:
-            if scenario.run_id in completed:
-                record = registry.load_result(scenario.run_id)
+            record = stored.get(scenario.run_id, {})
+            status = "failed" if record is None else record.get("status")
+            if status == "ok":
                 record["resumed"] = True
                 by_id[scenario.run_id] = record
                 _LOG.info("run %s: resumed from registry", scenario.run_id)
-            elif failed is None or scenario.run_id in failed:
+            elif not retry_failed or status == "failed":
                 todo.append(scenario)
             else:
                 _LOG.info(
@@ -1042,9 +1046,12 @@ def _run_campaign_impl(
         misses: list[ScenarioSpec] = []
         with obs.span("campaign:lookup", n_scenarios=len(todo)):
             bases = _group_bases(todo)
+            digests = {group: artifact_digest(base.data)
+                       for group, base in bases.items() if base is not None}
             for scenario in todo:
-                base = bases.get(_standard_fit_key(scenario))
-                member = _member_run(scenario, base)
+                group = _standard_fit_key(scenario)
+                base = bases.get(group)
+                member = _member_run(scenario, base, digests.get(group))
                 hit = _served_run(scenario, member[0], base, store) if member else None
                 if hit is not None:
                     _finish(*hit)

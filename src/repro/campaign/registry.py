@@ -6,12 +6,13 @@ Layout (one directory per campaign)::
         manifest.json             # campaign spec + per-run index
         runs/<run_id>/
             result.json           # status, timings, metrics, scenario
-            model.json            # passive model + provenance metadata
+            model.json            # passive model export + run pointer
 
 ``result.json`` files are self-contained JSON records so the registry can
-be queried without loading any model artifacts; the model files round-trip
-through :mod:`repro.statespace.serialization` with the run record attached
-as metadata.
+be queried without loading any model artifacts.  ``model.json`` is the
+:mod:`repro.statespace.serialization` export with ``{"run_id",
+"cache_key"}`` as metadata.  It is written first and ``result.json`` last,
+atomically, so a readable ``result.json`` marks a committed run.
 """
 
 from __future__ import annotations
@@ -19,14 +20,18 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Container, Iterator
 
+from repro.api.artifacts import write_text_atomic
 from repro.statespace.poleresidue import PoleResidueModel
 from repro.statespace.serialization import (
     load_model_with_metadata,
     sanitize_metadata,
     save_model,
 )
+from repro.util.logging import get_logger
+
+_LOG = get_logger(__name__)
 
 _MANIFEST_FORMAT = "repro.campaign-manifest"
 _MANIFEST_VERSION = 1
@@ -56,11 +61,10 @@ class CampaignRegistry:
         run_dir = self.runs_dir / run_id
         run_dir.mkdir(parents=True, exist_ok=True)
         payload = sanitize_metadata(record)
-        (run_dir / "result.json").write_text(
-            json.dumps(payload, indent=1), encoding="utf-8"
-        )
         if model is not None:
-            save_model(model, run_dir / "model.json", metadata=payload)
+            pointer = {"run_id": run_id, "cache_key": payload.get("cache_key")}
+            save_model(model, run_dir / "model.json", metadata=pointer)
+        write_text_atomic(run_dir / "result.json", json.dumps(payload))
         return run_dir
 
     def write_manifest(self, campaign: dict, records: list[dict]) -> Path:
@@ -69,28 +73,24 @@ class CampaignRegistry:
         The index covers every run stored in the registry, not just the
         current invocation's ``records``: a filtered or partial re-run
         into the same registry must not orphan earlier runs from the
-        manifest.  The passed records overlay the stored ones so
-        invocation-level state (e.g. ``resumed``) is preserved.
+        manifest.  The passed records are indexed as given (keeping
+        invocation-level state such as ``resumed``); only other runs are read.
         """
-        index: dict[str, dict] = {}
-        for record in self.iter_results():
-            index[record["run_id"]] = {
-                key: record.get(key) for key in _MANIFEST_RUN_FIELDS
-            }
-        for record in records:
-            index[record["run_id"]] = {
-                key: record.get(key) for key in _MANIFEST_RUN_FIELDS
-            }
+        index = {record["run_id"]: record for record in records}
+        for run_id, record in self.stored_records(skip=index).items():
+            if record is not None:
+                index[run_id] = record
         manifest = {
             "format": _MANIFEST_FORMAT,
             "version": _MANIFEST_VERSION,
             "written_unix": time.time(),
             "campaign": sanitize_metadata(campaign),
             "n_runs": len(index),
-            "runs": [index[run_id] for run_id in sorted(index)],
+            "runs": [{key: index[run_id].get(key) for key in _MANIFEST_RUN_FIELDS}
+                     for run_id in sorted(index)],
         }
         path = self.root / "manifest.json"
-        path.write_text(json.dumps(manifest, indent=1), encoding="utf-8")
+        path.write_text(json.dumps(manifest), encoding="utf-8")
         return path
 
     # ------------------------------------------------------------------
@@ -115,29 +115,30 @@ class CampaignRegistry:
         return json.loads(path.read_text(encoding="utf-8"))
 
     def load_model(self, run_id: str) -> tuple[PoleResidueModel, dict]:
-        """The stored passive model and its provenance metadata."""
+        """The stored passive model and its metadata (the run pointer)."""
         return load_model_with_metadata(self.runs_dir / run_id / "model.json")
 
-    def iter_results(self) -> Iterator[dict]:
-        """All stored run records, in sorted run-ID order."""
+    def stored_records(self, skip: Container[str] = ()) -> dict[str, dict | None]:
+        """``{run_id: record}`` of every run directory not in ``skip``.
+
+        Each ``result.json`` is parsed once; one that cannot be read (a
+        run cut off while writing it) maps to ``None`` with a warning.
+        """
+        records: dict[str, dict | None] = {}
         for path in sorted(self.runs_dir.glob("*/result.json")):
-            yield json.loads(path.read_text(encoding="utf-8"))
+            run_id = path.parent.name
+            if run_id in skip:
+                continue
+            try:
+                records[run_id] = json.loads(path.read_text(encoding="utf-8"))
+            except (OSError, ValueError) as exc:
+                _LOG.warning("%s: unreadable, skipped (%s)", path, exc)
+                records[run_id] = None
+        return records
 
-    def completed_run_ids(self) -> set[str]:
-        """Run IDs that finished successfully (resume skips these)."""
-        return {
-            record["run_id"]
-            for record in self.iter_results()
-            if record.get("status") == "ok"
-        }
-
-    def failed_run_ids(self) -> set[str]:
-        """Run IDs whose stored record failed (retry-failed re-runs these)."""
-        return {
-            record["run_id"]
-            for record in self.iter_results()
-            if record.get("status") == "failed"
-        }
+    def iter_results(self) -> Iterator[dict]:
+        """All readable stored run records, in sorted run-ID order."""
+        yield from (r for r in self.stored_records().values() if r is not None)
 
     # ------------------------------------------------------------------
     # Queries / aggregation

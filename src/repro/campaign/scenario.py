@@ -18,6 +18,7 @@ import itertools
 import json
 import re
 from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 from repro.api.config import ReproConfig
@@ -239,13 +240,13 @@ class ScenarioSpec:
     # ------------------------------------------------------------------
     # Identity and serialization
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def run_id(self) -> str:
         """Deterministic identifier: slugified name + content digest.
 
         Two specs with identical parameters always map to the same run ID,
         which is what makes registry-level resume safe across processes and
-        sessions.
+        sessions.  Computed once per (immutable) spec.
         """
         digest = hashlib.sha256(
             json.dumps(self.to_dict(), sort_keys=True).encode()

@@ -1,8 +1,11 @@
 """Persistence for pole-residue macromodels.
 
 JSON schema (version 1): poles and residues stored as [real, imag] pairs
-so files are portable and diffable; the conjugate-pairing invariants are
-re-validated on load by the :class:`PoleResidueModel` constructor.
+so files are portable; the conjugate-pairing invariants are re-validated
+on load by the :class:`PoleResidueModel` constructor.  Files are written
+as compact one-line JSON (an indented dump goes through CPython's
+pure-Python encoder, several times slower); floats keep their shortest
+round-trip repr either way, so a model reads back bit-exact.
 
 A model file may carry an optional ``metadata`` object (free-form,
 JSON-serializable) so callers can attach provenance -- enforcement
@@ -78,7 +81,7 @@ def save_model(
     }
     if metadata is not None:
         payload["metadata"] = sanitize_metadata(metadata)
-    Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
+    Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
 def load_model(path: str | Path) -> PoleResidueModel:

@@ -182,11 +182,6 @@ def _realify(matrix: np.ndarray) -> np.ndarray:
     return kernels.realify_rows(matrix)
 
 
-def _scaled_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Least squares with column equilibration (see kernels.scaled_lstsq)."""
-    return kernels.scaled_lstsq(a, b)
-
-
 # ----------------------------------------------------------------------
 # Main algorithm
 # ----------------------------------------------------------------------
@@ -517,22 +512,6 @@ def _relocate_poles(
             stage="standard_fit",
         )
     return new_poles
-
-
-def _relocate(
-    omega: np.ndarray,
-    responses: np.ndarray,
-    weights: np.ndarray,
-    poles: np.ndarray,
-    options: VFOptions,
-) -> np.ndarray:
-    """One pole-relocation step; returns the new canonical pole set."""
-    phi = _basis(omega, poles)
-    phi_scale, sigma_scale = _sigma_scales(phi, omega.size, options)
-    return _relocate_poles(
-        omega, responses, weights, responses, weights, poles,
-        phi, phi_scale, sigma_scale, options,
-    )
 
 
 # ----------------------------------------------------------------------

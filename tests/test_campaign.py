@@ -1,6 +1,8 @@
 """Campaign subsystem: scenario grids, executor, cache, registry, CLI."""
 
+import hashlib
 import json
+import pickle
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -8,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api.artifacts import ArtifactStore
+from repro.api.artifacts import ArtifactStore, artifact_digest
 from repro.api.config import ReproConfig
+from repro.api.pipeline import standard_pipeline
 from repro.api.stages import EnforceStage
 from repro.campaign import executor
 from repro.campaign.executor import (
@@ -35,6 +38,7 @@ from repro.cli import main
 from repro.flow.macromodel import FlowOptions
 from repro.passivity.check import check_passivity
 from repro.pdn.testcase import make_variant_testcase, perturb_termination
+from repro.statespace.serialization import sanitize_metadata
 from repro.vectfit.core import fit_many
 from repro.vectfit.options import VFOptions
 
@@ -68,6 +72,21 @@ class TestScenarioSpec:
         assert a.run_id == b.run_id
         assert a.run_id != c.run_id
         assert a.run_id.startswith("case-")
+
+    def test_run_id_memoized(self):
+        spec = fast_scenario("case", decap_c_scale=0.5)
+        digest = hashlib.sha256(
+            json.dumps(spec.to_dict(), sort_keys=True).encode()
+        ).hexdigest()
+        assert spec.run_id == f"case-{digest[:10]}"
+        assert vars(spec)["run_id"] is spec.run_id
+        # A changed copy hashes its own content, not the memo it came from.
+        changed = replace(spec, decap_c_scale=2.0)
+        assert changed.run_id != spec.run_id
+        assert changed.run_id == fast_scenario("case", decap_c_scale=2.0).run_id
+        # Specs reach pool workers pickled, memo included.
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec and back.run_id == spec.run_id
 
     def test_config_mapping(self):
         scenario = fast_scenario(n_poles=7, weight_mode="absolute",
@@ -419,19 +438,26 @@ class TestCacheAndFingerprint:
         testcase = make_variant_testcase("small", n_frequencies=16,
                                          include_dc=False)
         options = ReproConfig(flow=FlowOptions(vf=VFOptions(n_poles=4)))
-        key = _run_key(testcase.data, testcase.termination, 0, options)
-        assert key == _run_key(testcase.data, testcase.termination, 0, options)
-        assert key != _run_key(testcase.data, testcase.termination, 1, options)
+        digest = artifact_digest(testcase.data)
+        key = _run_key(digest, testcase.termination, 0, options)
+        # The dispatcher's key is the pipeline's own whole-run key.
+        assert key == standard_pipeline().run_key(options, {
+            "network": testcase.data, "termination": testcase.termination,
+            "observe_port": 0,
+        })
+        assert key == _run_key(digest, testcase.termination, 0, options)
+        assert key != _run_key(digest, testcase.termination, 1, options)
         assert key != _run_key(
-            testcase.data, testcase.termination, 0,
+            digest, testcase.termination, 0,
             ReproConfig(flow=FlowOptions(vf=VFOptions(n_poles=5))),
         )
         perturbed = perturb_termination(testcase.termination,
                                         decap_c_scale=2.0)
-        assert key != _run_key(testcase.data, perturbed, 0, options)
+        assert key != _run_key(digest, perturbed, 0, options)
         other = make_variant_testcase("small", n_frequencies=17,
                                       include_dc=False)
-        assert key != _run_key(other.data, testcase.termination, 0, options)
+        assert key != _run_key(artifact_digest(other.data),
+                               testcase.termination, 0, options)
 
     def test_stage_version_bump_recomputes(self, tmp_path, monkeypatch):
         # A new stage version must retire every stored run it took part
@@ -540,7 +566,7 @@ class TestWarmPath:
         for scenario, record in zip([vrm, external], cold.records):
             testcase = scenario.build_testcase()
             assert record["cache_key"] == _run_key(
-                testcase.data, testcase.termination,
+                artifact_digest(testcase.data), testcase.termination,
                 scenario.resolve_observe_port(testcase), scenario.config(),
             )
             assert record["metrics"] == real_execute(scenario)[0]["metrics"]
@@ -616,6 +642,121 @@ class TestRegistry:
         assert manifest["n_runs"] == 2
         assert {r["run_id"] for r in manifest["runs"]} == \
                {s.run_id for s in spec.expand()}
+
+    def test_model_json_carries_only_the_run_pointer(self, campaign_env):
+        registry = campaign_env["registry"]
+        for record in campaign_env["result"].records:
+            _, metadata = registry.load_model(record["run_id"])
+            assert metadata == {"run_id": record["run_id"],
+                                "cache_key": record["cache_key"]}
+            assert record["cache_key"] is not None
+
+    def test_result_json_is_the_sanitized_record(self, campaign_env):
+        registry = campaign_env["registry"]
+        for record in campaign_env["result"].records:
+            path = registry.runs_dir / record["run_id"] / "result.json"
+            assert path.read_text(encoding="utf-8") == json.dumps(
+                sanitize_metadata(record)
+            )
+
+    def test_old_layout_still_reads_and_resumes(self, campaign_env, tmp_path):
+        # Indented JSON everywhere and the whole record as model metadata.
+        root = tmp_path / "old"
+        shutil.copytree(campaign_env["registry"].root, root)
+        for run_dir in (root / "runs").iterdir():
+            record = json.loads((run_dir / "result.json").read_text())
+            (run_dir / "result.json").write_text(json.dumps(record, indent=1))
+            model = json.loads((run_dir / "model.json").read_text())
+            model["metadata"] = record
+            (run_dir / "model.json").write_text(json.dumps(model, indent=1))
+        manifest = json.loads((root / "manifest.json").read_text())
+        (root / "manifest.json").write_text(json.dumps(manifest, indent=1))
+
+        registry = CampaignRegistry(root)
+        assert registry.load_manifest()["n_runs"] == 2
+        records = {r["run_id"]: r for r in registry.iter_results()}
+        assert set(records) == {s.run_id for s in campaign_env["spec"].expand()}
+        for run_id, record in records.items():
+            model, metadata = registry.load_model(run_id)
+            assert metadata == record
+            assert check_passivity(model).is_passive
+        result = run_campaign(campaign_env["spec"], registry=registry,
+                              cache=campaign_env["cache"], jobs=1,
+                              resume=True)
+        assert result.n_resumed == 2 and result.n_ok == 2
+
+    @pytest.mark.parametrize("mode", ["resume", "retry_failed"])
+    def test_truncated_result_is_no_record(
+        self, campaign_env, tmp_path, caplog, mode
+    ):
+        # A campaign killed while writing result.json (before writes became
+        # atomic) leaves a truncated file: resume and retry-failed run that
+        # scenario again, and the readers skip it with a warning.
+        root = tmp_path / "cut"
+        shutil.copytree(campaign_env["registry"].root, root)
+        registry = CampaignRegistry(root)
+        cut, kept = sorted(p.name for p in registry.runs_dir.iterdir())
+        path = registry.runs_dir / cut / "result.json"
+        path.write_bytes(path.read_bytes()[:100])
+        with caplog.at_level("WARNING", logger="repro.campaign.registry"):
+            assert [r["run_id"] for r in registry.iter_results()] == [kept]
+        assert "unreadable" in caplog.text
+
+        result = run_campaign(campaign_env["spec"], registry=registry,
+                              cache=campaign_env["cache"], jobs=1,
+                              **{mode: True})
+        by_id = {r["run_id"]: r for r in result.records}
+        assert by_id[kept].get("resumed") is True
+        assert not by_id[cut].get("resumed") and by_id[cut]["status"] == "ok"
+        assert registry.load_result(cut)["status"] == "ok"
+        assert registry.load_manifest()["n_runs"] == 2
+
+    def test_uncommitted_run_is_no_record(self, campaign_env, tmp_path,
+                                          monkeypatch):
+        # model.json is written first and result.json last: a run cut off
+        # between the two has no record, so resume runs it again.
+        from repro.campaign import registry as registry_module
+
+        def crash(path, text):
+            raise KeyboardInterrupt
+
+        registry = CampaignRegistry(tmp_path / "reg")
+        scenario = campaign_env["spec"].expand()[0]
+        monkeypatch.setattr(registry_module, "write_text_atomic", crash)
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign([scenario], registry=registry,
+                         cache=campaign_env["cache"], jobs=1)
+        monkeypatch.undo()
+        run_dir = registry.runs_dir / scenario.run_id
+        assert (run_dir / "model.json").exists()
+        assert not list(run_dir.glob("result.json*"))
+        result = run_campaign([scenario], registry=registry,
+                              cache=campaign_env["cache"], jobs=1,
+                              resume=True)
+        assert result.n_resumed == 0 and result.n_ok == 1
+        assert registry.has_result(scenario.run_id)
+
+    def test_manifest_reads_only_runs_not_in_hand(
+        self, campaign_env, tmp_path, monkeypatch
+    ):
+        registry = CampaignRegistry(tmp_path / "reg")
+        spec = campaign_env["spec"]
+        run_campaign(spec, registry=registry, cache=campaign_env["cache"],
+                     jobs=1)
+        reads = []
+        read_text = Path.read_text
+
+        def counting_read(self, *args, **kwargs):
+            if self.name == "result.json":
+                reads.append(self.parent.name)
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read)
+        subset = [s for s in spec.expand() if "absolute" in s.name]
+        run_campaign(spec, scenarios=subset, registry=registry,
+                     cache=campaign_env["cache"], jobs=1)
+        others = {s.run_id for s in spec.expand()} - {subset[0].run_id}
+        assert sorted(reads) == sorted(others)
 
     def test_query_and_aggregation(self, campaign_env):
         registry = campaign_env["registry"]
