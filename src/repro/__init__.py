@@ -56,7 +56,7 @@ from repro.ingest import (
 )
 from repro.passivity.check import check_passivity
 from repro.passivity.enforce import EnforcementOptions, enforce_passivity
-from repro.passivity.engine import CheckerOptions, PassivityChecker
+from repro.passivity.engine import PassivityChecker
 from repro.pdn.termination import TerminationNetwork
 from repro.resilience import ReproError, RetryPolicy
 from repro.pdn.testcase import (
@@ -96,7 +96,6 @@ __all__ = [
     "condition_network",
     "load_network",
     "check_passivity",
-    "CheckerOptions",
     "PassivityChecker",
     "EnforcementOptions",
     "enforce_passivity",

@@ -436,18 +436,21 @@ class WeightingStage(PipelineStage):
 class EnforceStage(PipelineStage):
     """Passivity enforcement of the weighted model under both costs.
 
-    Checks the weighted model once (the report doubles as both runs'
-    exact iteration-0 certificate) and enforces twice: standard L2 cost
-    (eq. 10) and sensitivity-weighted cost (eqs. 18-21).  The pre-check
-    and both runs' ``report_after`` are exact Hamiltonian certificates,
-    which :class:`ValidateStage` reuses as the passivity verdicts of
-    these three models.
+    Checks the weighted model once with the full-size Hamiltonian test
+    (the report doubles as both runs' iteration-0 verdict) and enforces
+    twice: standard L2 cost (eq. 10) and sensitivity-weighted cost (eqs.
+    18-21).  A passing ``report_after`` is a full-size certificate, and a
+    failing one rests on a sampled sigma > 1, so :class:`ValidateStage`
+    reuses the three reports as the passivity verdicts of these models.
     """
 
     name = "enforce"
     # 2: sigma_max sweeps moved to the Hermitian Gram kernel (stored
     # reports' sigma values differ in the last bits; models do not).
-    version = "2"
+    # 3: every iteration runs the Hamiltonian test, and a passing verdict
+    # is re-checked by the full-size test with the wider crossing
+    # candidate tolerance (stored models and reports differ).
+    version = "3"
     inputs = (A_WEIGHTED_FIT, A_WEIGHT_MODEL)
     outputs = (A_PRE_REPORT, A_STANDARD_ENFORCED, A_WEIGHTED_ENFORCED)
 

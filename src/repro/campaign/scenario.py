@@ -75,11 +75,6 @@ class ScenarioSpec:
     n_poles / weight_mode / weight_floor / refinement_rounds /
     weight_model_order / enforcement_max_iterations:
         Flow configuration (:class:`repro.flow.macromodel.FlowOptions`).
-    checker_strategy / checker_exact_every:
-        Passivity-checker strategy of the enforcement loop: ``"fast"``
-        (sampling-mode intermediate iterations, exact Hamiltonian
-        certification) or ``"exact"`` (Hamiltonian test every iteration);
-        see :class:`repro.passivity.engine.CheckerOptions`.
     vf_kernel:
         Vector-fitting linear-algebra kernel: ``"batched"`` (stacked
         batched LAPACK, default) or ``"reference"`` (per-column loops);
@@ -109,8 +104,6 @@ class ScenarioSpec:
     refinement_rounds: int = 3
     weight_model_order: int = 8
     enforcement_max_iterations: int = 30
-    checker_strategy: str = "fast"
-    checker_exact_every: int = 5
     vf_kernel: str = "batched"
 
     def _stray_external_fields(self) -> list[str]:
@@ -144,8 +137,6 @@ class ScenarioSpec:
             weight_model_order=self.weight_model_order,
             enforcement=EnforcementOptions(
                 max_iterations=self.enforcement_max_iterations,
-                checker_strategy=self.checker_strategy,
-                exact_every=self.checker_exact_every,
             ),
         ))
 

@@ -73,7 +73,7 @@ from repro.flow.macromodel import FlowOptions, run_flow
 from repro.flow.metrics import impedance_error_report
 from repro.ingest import ConditioningOptions, build_termination, load_network
 from repro.passivity.check import check_passivity
-from repro.passivity.enforce import EnforcementOptions, EnforcementResult
+from repro.passivity.enforce import EnforcementResult
 from repro.pdn.spec import save_termination
 from repro.pdn.testcase import make_paper_testcase
 from repro.sensitivity.zpdn import target_impedance_of_model
@@ -125,10 +125,6 @@ def _flow_options(args: argparse.Namespace) -> FlowOptions:
         weight_mode=args.weight_mode,
         refinement_rounds=args.refinement_rounds,
         weight_model_order=args.weight_order,
-        enforcement=EnforcementOptions(
-            checker_strategy=_checker_strategy(args),
-            exact_every=args.exact_every,
-        ),
     )
 
 
@@ -367,11 +363,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     scenarios = filter_scenarios(spec.expand(), args.filter)
-    if args.fast or args.exact:
-        strategy = _checker_strategy(args)
-        scenarios = [
-            replace(s, checker_strategy=strategy) for s in scenarios
-        ]
     if args.observe_port is not None:
         scenarios = [
             replace(s, observe_port=args.observe_port) for s in scenarios
@@ -473,25 +464,19 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 0 if result.n_failed == 0 else 3
 
 
-def _checker_strategy(args: argparse.Namespace) -> str:
-    """Map the --fast/--exact flag pair to a checker strategy name."""
-    return "exact" if getattr(args, "exact", False) else "fast"
-
-
 def _enforcement_profile(label: str, enforced: EnforcementResult) -> str:
     """Per-iteration timing breakdown table for ``--profile``."""
     lines = [
         f"enforcement profile ({label}): {enforced.iterations} iteration(s), "
         f"converged={enforced.converged}",
-        "  iter  mode              worst sigma   n_con   check_s  constr_s"
-        "    qp_s  rebuild_s",
+        "  iter   worst sigma   n_con   check_s  constr_s    qp_s  rebuild_s",
     ]
     for rec in enforced.history:
         lines.append(
-            f"  {rec.iteration:>4d}  {rec.check_mode:<16s}  "
-            f"{rec.worst_sigma:>11.6f}  {rec.n_constraints:>6d}  "
-            f"{rec.check_seconds:>8.3f}  {rec.constraint_seconds:>8.3f}  "
-            f"{rec.qp_seconds:>6.3f}  {rec.rebuild_seconds:>9.3f}"
+            f"  {rec.iteration:>4d}  {rec.worst_sigma:>12.6f}  "
+            f"{rec.n_constraints:>6d}  {rec.check_seconds:>8.3f}  "
+            f"{rec.constraint_seconds:>8.3f}  {rec.qp_seconds:>6.3f}  "
+            f"{rec.rebuild_seconds:>9.3f}"
         )
     totals = enforced.profile()
     lines.append(
@@ -607,12 +592,6 @@ def _flow_parent() -> argparse.ArgumentParser:
     parent.add_argument("--refinement-rounds", type=int, default=3)
     parent.add_argument("--weight-order", type=int, default=8)
     parent.add_argument("--low-band-hz", type=float, default=1e6)
-    _add_checker_flags(parent)
-    parent.add_argument(
-        "--exact-every", type=int, default=5,
-        help="cadence of interleaved exact Hamiltonian checks in fast "
-        "mode (0 disables interleaving)",
-    )
     parent.add_argument(
         "--profile", action="store_true",
         help="print per-stage pipeline timings plus a per-iteration "
@@ -723,7 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-worker BLAS/OpenMP thread budget (default: CPU count "
         "divided by the worker count; prevents oversubscription)",
     )
-    _add_checker_flags(p_camp, override=True)
     p_camp.add_argument(
         "--profile", action="store_true",
         help="print each run's per-stage pipeline timings and enforcement "
@@ -794,28 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the rule catalogue and exit")
     p_lint.set_defaults(func=_cmd_lint)
     return parser
-
-
-def _add_checker_flags(
-    parser: argparse.ArgumentParser, *, override: bool = False
-) -> None:
-    """--fast/--exact passivity-checker strategy flags.
-
-    With ``override=True`` (campaign) the pair overrides every scenario's
-    ``checker_strategy``; unset leaves the spec values untouched.
-    """
-    group = parser.add_mutually_exclusive_group()
-    suffix = " (overrides the campaign spec)" if override else " (default)"
-    group.add_argument(
-        "--fast", dest="fast", action="store_true",
-        help="sampling-first passivity checker with exact Hamiltonian "
-        "certification" + suffix,
-    )
-    group.add_argument(
-        "--exact", dest="exact", action="store_true",
-        help="exact Hamiltonian passivity check every enforcement "
-        "iteration",
-    )
 
 
 def main(argv: list[str] | None = None) -> int:

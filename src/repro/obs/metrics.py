@@ -7,8 +7,7 @@ emitted alongside ``flow_summary.json``:
   (``"format": "repro.run-metrics/1"``) with counters, gauges, span
   aggregates, and a ``convergence`` section distilled from the structured
   solver events (per-set vector-fitting pole-relocation residuals, per-cost
-  passivity-enforcement worst-sigma trajectories, adaptive-sampling grid
-  growth);
+  passivity-enforcement worst-sigma trajectories);
 * ``metrics.prom`` -- a Prometheus text exposition of the same counters,
   gauges, and span totals for scrape-style ingestion.
 
@@ -47,7 +46,6 @@ def convergence_from_events(events: Iterable[Mapping]) -> dict:
     """Distill solver iteration events into per-solver trajectories."""
     vf: dict[str, list[dict]] = {}
     enforcement: dict[str, list[dict]] = {}
-    sampling: list[dict] = []
     for event in events:
         name = event.get("event")
         if name == "vf.iteration":
@@ -69,16 +67,8 @@ def convergence_from_events(events: Iterable[Mapping]) -> dict:
                 "n_bands": event.get("n_bands"),
                 "n_constraints": event.get("n_constraints"),
                 "working_set": event.get("working_set"),
-                "mode": event.get("mode"),
             })
-        elif name == "checker.sampling":
-            sampling.append({
-                "seed_grid": event.get("seed_grid"),
-                "final_grid": event.get("final_grid"),
-                "stages": event.get("stages"),
-                "violations": event.get("violations"),
-            })
-    return {"vf": vf, "enforcement": enforcement, "sampling": sampling}
+    return {"vf": vf, "enforcement": enforcement}
 
 
 # ----------------------------------------------------------------------

@@ -174,7 +174,7 @@ def _render_convergence(convergence: Mapping) -> list[str]:
             rows = enforcement[key]
             lines.append(f"  cost {key} ({len(rows)} iterations)")
             lines.append(
-                "    iter  worst_sigma  bands  constraints  working_set  mode"
+                "    iter  worst_sigma  bands  constraints  working_set"
             )
             for row in rows:
                 lines.append(
@@ -183,19 +183,7 @@ def _render_convergence(convergence: Mapping) -> list[str]:
                     f"  {_fmt(row.get('n_bands'), 5)}"
                     f"  {_fmt(row.get('n_constraints'), 11)}"
                     f"  {_fmt(row.get('working_set'), 11)}"
-                    f"  {row.get('mode', '-')}"
                 )
-    sampling = convergence.get("sampling", [])
-    if sampling:
-        lines += _section("passivity checker: adaptive sampling")
-        lines.append("    seed_grid  final_grid  stages  violations")
-        for row in sampling:
-            lines.append(
-                f"    {_fmt(row.get('seed_grid'), 9)}"
-                f"  {_fmt(row.get('final_grid'), 10)}"
-                f"  {_fmt(row.get('stages'), 6)}"
-                f"  {_fmt(row.get('violations'), 10)}"
-            )
     return lines
 
 

@@ -25,7 +25,7 @@ from repro.passivity.enforce import (
     EnforcementResult,
     enforce_passivity,
 )
-from repro.passivity.engine import CheckerOptions, PassivityChecker
+from repro.passivity.engine import PassivityChecker
 from repro.passivity.qp import solve_block_qp
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "ViolationBand",
     "check_passivity",
     "check_passivity_sampling",
-    "CheckerOptions",
     "PassivityChecker",
     "BlockDiagonalCost",
     "l2_gramian_cost",

@@ -13,17 +13,19 @@ omega.  The check combines:
 The band-refinement stage is shared with the stateful fast engine
 (:mod:`repro.passivity.engine`), which reuses :func:`report_from_crossings`
 with crossings obtained from cached Hamiltonian invariants.
+:func:`check_passivity` is the full-size test that certifies a model;
+the engine's half-size test is cheaper but only steers enforcement.
 
-Every sigma_max sweep (band midpoints, band refinement, the engine's
-sampling grids) goes through one kernel,
+Every sigma_max sweep (band midpoints, band refinement, the sampling-only
+check) goes through one kernel,
 :func:`repro.util.linalg.max_singular_values`: the largest eigenvalue of
 each Gram matrix S^H S, which is about 1.5x cheaper than an SVD and agrees
 with it to O(n eps).  The sigma values only feed argmax and threshold
 decisions, never the enforcement QP.  Crossing verification
 (:mod:`repro.statespace.hamiltonian`) needs every singular value and keeps
-its SVD.  Each report of the flow's weighted and enforced models is an
-exact certificate, so validation reads their verdicts instead of checking
-those models again.
+its SVD.  The flow's pre-enforcement report and each passing enforcement
+report are full-size certificates, so validation reads their verdicts
+instead of checking those models again.
 """
 
 from __future__ import annotations
@@ -141,10 +143,7 @@ def check_passivity_sampling(
     Sweeps sigma_max(S(j omega)) on the provided grid and reports
     violations.  Cheaper but *not* conclusive: violations between grid
     points are missed -- exactly why the Hamiltonian test exists.  Kept
-    for cross-validation and for very large models where the 2N x 2N
-    eigenproblem dominates; the enforcement loop's fast engine
-    (:mod:`repro.passivity.engine`) wraps this mode with an adaptive,
-    warm-started grid and an exact final certificate.
+    for cross-validation against the Hamiltonian test.
     """
     omega = np.asarray(omega, dtype=float)
     if omega.ndim != 1 or omega.size < 2:

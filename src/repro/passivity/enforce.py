@@ -6,14 +6,14 @@ norm (standard L2 or sensitivity-weighted), accumulate the perturbation
 into the model's residues, repeat until the Hamiltonian test certifies
 passivity.  Poles and the constant term D stay fixed.
 
-The per-iteration checks run through the fast passivity engine
-(:class:`repro.passivity.engine.PassivityChecker`): invariants of the
-Hamiltonian test are cached across the run, and with the default ``"fast"``
-strategy intermediate iterations use the cheap warm-started sampling check
-while the exact Hamiltonian eigenvalue test runs at iteration 0, every
-``exact_every``-th iteration, and for the final certificate.  Whatever the
-strategy, ``report_after`` (and hence ``converged``) always comes from an
-exact Hamiltonian certificate.
+Every iteration checks its iterate with the Hamiltonian eigenvalue test of
+the fast passivity engine (:class:`repro.passivity.engine.PassivityChecker`),
+whose invariants are cached across the run.  Reciprocal iterates take the
+half-size test, which only steers constraint placement.  A report that
+would end the loop as passive is first re-checked by the full-size
+Hamiltonian test, so ``report_after`` (and hence ``converged``) always
+comes from a full-size certificate; a refuted one continues the loop with
+the full-size report.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from repro.obs import telemetry as obs
 from repro.passivity.check import PassivityReport
 from repro.passivity.cost import BlockDiagonalCost
-from repro.passivity.engine import CheckerOptions, PassivityChecker, is_reciprocal
+from repro.passivity.engine import PassivityChecker, is_reciprocal
 from repro.passivity.perturbation import build_constraints
 from repro.passivity.qp import solve_block_qp
 from repro.resilience import faultinject
@@ -47,8 +47,8 @@ class EnforcementOptions:
         converges in 9 iterations).
     margin:
         Asymptotic margin: constraints push singular values to
-        ``1 - margin`` so roundoff cannot re-violate; also used as the
-        pass/fail tolerance of the final check.
+        ``1 - margin`` so roundoff cannot re-violate.  The verdict itself
+        is absolute: sigma_max <= 1 everywhere.
     include_threshold:
         Singular values above this are constrained even when below 1,
         preventing the perturbation from lifting safe directions over the
@@ -62,14 +62,6 @@ class EnforcementOptions:
         so ||delta_c|| <= max_relative_step * ||c||.  The linearization of
         eq. (8) is only locally valid; ill-conditioned weighted costs can
         otherwise request destabilizing steps along nearly-free directions.
-    checker_strategy:
-        ``"fast"`` (default) drives intermediate iterations with the
-        engine's sampling check; ``"exact"`` runs the Hamiltonian test
-        every iteration.  Either way the final verdict is certified by an
-        exact check.
-    exact_every:
-        In fast mode, cadence of interleaved exact Hamiltonian checks
-        (``0`` disables interleaving).
     divergence_patience:
         Consecutive non-improving iterations (relative to the best
         certified worst-sigma so far) tolerated before the loop stops
@@ -83,8 +75,6 @@ class EnforcementOptions:
     band_samples: int = 50
     dual_ridge: float = 1e-12
     max_relative_step: float = 0.3
-    checker_strategy: str = "fast"
-    exact_every: int = 5
     divergence_patience: int = 3
 
     def __post_init__(self) -> None:
@@ -96,16 +86,6 @@ class EnforcementOptions:
             raise ValueError("margin must be in (0, 0.1)")
         if not (0.0 < self.include_threshold <= 1.0):
             raise ValueError("include_threshold must be in (0, 1]")
-        if self.checker_strategy not in ("fast", "exact"):
-            raise ValueError("checker_strategy must be 'fast' or 'exact'")
-        if self.exact_every < 0:
-            raise ValueError("exact_every must be non-negative")
-
-    def checker_options(self) -> CheckerOptions:
-        """Engine configuration implied by these options."""
-        return CheckerOptions(
-            strategy=self.checker_strategy, exact_every=self.exact_every
-        )
 
 
 @dataclass(frozen=True)
@@ -113,10 +93,7 @@ class IterationRecord:
     """Diagnostics of one enforcement iteration.
 
     The ``*_seconds`` fields are the per-stage wall-time breakdown used by
-    the CLI ``--profile`` flag; ``check_mode`` records whether this
-    iteration's verdict came from the exact Hamiltonian test or the
-    sampling sweep (``"sampling+certify"`` when a passing sampling check
-    was immediately confirmed by an exact certificate).
+    the CLI ``--profile`` flag.
     """
 
     iteration: int
@@ -125,7 +102,6 @@ class IterationRecord:
     n_bands: int
     n_constraints: int
     perturbation_cost: float
-    check_mode: str = "exact"
     check_seconds: float = 0.0
     constraint_seconds: float = 0.0
     qp_seconds: float = 0.0
@@ -137,10 +113,11 @@ class EnforcementResult:
     """Outcome of a passivity-enforcement run.
 
     ``model`` is the final (hopefully passive) macromodel; ``converged``
-    reports whether the Hamiltonian test certified passivity within the
-    iteration cap; ``history`` records per-iteration diagnostics;
-    ``report_before``/``report_after`` are the initial and final passivity
-    reports (both from exact Hamiltonian checks); ``total_delta_c`` is the
+    reports whether the full-size Hamiltonian test certified passivity
+    within the iteration cap; ``history`` records per-iteration
+    diagnostics; ``report_before``/``report_after`` are the initial and
+    final passivity reports (a passive one always from the full-size
+    test); ``total_delta_c`` is the
     accumulated residue-coefficient perturbation (P, P, N).
 
     ``recovery`` is ``None`` on a normal run.  When a run fails to
@@ -200,8 +177,8 @@ def enforce_passivity(
     options:
         Loop controls; defaults to :class:`EnforcementOptions()`.
     initial_report:
-        Optional precomputed *exact* passivity report of ``model`` (from
-        :func:`repro.passivity.check.check_passivity` with the same
+        Optional precomputed full-size passivity report of ``model``
+        (from :func:`repro.passivity.check.check_passivity` with the same
         ``band_samples``); skips the redundant iteration-0 check when the
         caller already ran one.
     cost_label:
@@ -220,18 +197,12 @@ def enforce_passivity(
             "cannot enforce passivity at infinite frequency"
         )
 
-    checker = PassivityChecker(
-        model,
-        band_samples=options.band_samples,
-        options=options.checker_options(),
-    )
+    checker = PassivityChecker(model, band_samples=options.band_samples)
     if initial_report is None:
-        report_before = checker.check_exact(model)
+        report_before = checker.check(model)
     else:
         report_before = initial_report
-        checker.seed(report_before)  # warm-start the sampling grid
     report = report_before
-    report_is_exact = True
     # Iteration 0 of the worst-sigma trajectory: the unperturbed model.
     obs.emit(
         "enforce.iteration",
@@ -241,7 +212,6 @@ def enforce_passivity(
         n_bands=len(report_before.bands),
         n_constraints=0,
         working_set=0,
-        mode="initial",
     )
     current = model
     # Reciprocal input (the physical PDN case): symmetrized constraint
@@ -264,7 +234,7 @@ def enforce_passivity(
     best_report = report_before
     bad_streak = 0
     stop_reason: str | None = None
-    while iterations < options.max_iterations and not _is_passive(report, options):
+    while iterations < options.max_iterations and not report.is_passive:
         tic = time.perf_counter()
         frequencies = report.constraint_frequencies()
         constraints = build_constraints(
@@ -302,18 +272,14 @@ def enforce_passivity(
 
         iterations += 1
         tic = time.perf_counter()
-        # A passing sampling sweep is certified inside check(); a failed
-        # certificate re-enters the loop with the exact report's bands.
-        report = checker.check(current, iteration=iterations)
-        mode = checker.last_mode
-        report_is_exact = mode != "sampling"
+        # A refuted certificate re-enters the loop with the full-size
+        # report's bands.
+        report = checker.check(current)
         check_s = time.perf_counter() - tic
 
-        # Best-iterate bookkeeping.  Exact reports below the best
-        # certified sigma advance the best iterate; a sampling sigma is
-        # a certified *lower* bound, so exceeding the best sigma counts
-        # as a non-improving iteration from either mode.
-        if report_is_exact and report.worst_sigma < best_sigma:
+        # Best-iterate bookkeeping: a report below the best sigma so far
+        # advances the best iterate; one at or above it is non-improving.
+        if report.worst_sigma < best_sigma:
             best_sigma = report.worst_sigma
             best_iteration = iterations
             best_model = current
@@ -330,7 +296,6 @@ def enforce_passivity(
             n_bands=len(report.bands),
             n_constraints=constraints.n_constraints,
             perturbation_cost=solution.cost,
-            check_mode=mode,
             check_seconds=check_s,
             constraint_seconds=constraint_s,
             qp_seconds=qp_s,
@@ -346,20 +311,17 @@ def enforce_passivity(
             n_bands=len(report.bands),
             n_constraints=constraints.n_constraints,
             working_set=int(np.count_nonzero(solution.dual)),
-            mode=mode,
             check_seconds=check_s,
             constraint_seconds=constraint_s,
             qp_seconds=qp_s,
             rebuild_seconds=rebuild_s,
         )
         _LOG.info(
-            "enforcement iter %d: worst sigma %.8f (%d bands, %d constraints, "
-            "%s check)",
+            "enforcement iter %d: worst sigma %.8f (%d bands, %d constraints)",
             iterations,
             report.worst_sigma,
             len(report.bands),
             constraints.n_constraints,
-            mode,
         )
         if bad_streak >= options.divergence_patience:
             stop_reason = "divergence"
@@ -371,12 +333,7 @@ def enforce_passivity(
             )
             break
 
-    if not report_is_exact:
-        # Loop left with a sampling report: the result still gets an
-        # exact Hamiltonian certificate.
-        report = checker.check_exact(current)
-
-    converged = _is_passive(report, options)
+    converged = report.is_passive
     recovery: dict | None = None
     if (
         not converged
@@ -423,9 +380,3 @@ def enforce_passivity(
         total_delta_c=total_delta,
         recovery=recovery,
     )
-
-
-def _is_passive(report: PassivityReport, options: EnforcementOptions) -> bool:
-    """Passivity verdict: no violation bands and worst singular value <= 1."""
-    del options  # the verdict is absolute; margin only shapes the target
-    return report.is_passive or report.worst_sigma <= 1.0

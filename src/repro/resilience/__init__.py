@@ -16,11 +16,10 @@ Three pillars, consumed across the solver and campaign layers:
 
 The solver fallback ladders themselves live next to the solvers they
 guard (batched VF kernel -> reference kernel in
-:mod:`repro.vectfit.core`, sampling -> exact Hamiltonian check in
-:mod:`repro.passivity.engine` / :mod:`repro.passivity.enforce`,
-structured QP -> Tikhonov rungs -> dense dual in
-:mod:`repro.passivity.qp`); each attempt increments a ``fallback.*``
-telemetry counter.
+:mod:`repro.vectfit.core`, half-size -> full-size Hamiltonian certificate
+in :mod:`repro.passivity.engine`, structured QP -> Tikhonov rungs ->
+dense dual in :mod:`repro.passivity.qp`); each attempt increments a
+``fallback.*`` telemetry counter.
 """
 
 from repro.resilience.errors import (

@@ -1,9 +1,10 @@
 """Deterministic fault injection for resilience testing.
 
 A *fault plan* is a list of :class:`FaultSpec` entries, each arming one
-named instrumentation site (``"qp.structured"``, ``"checker.sampling"``,
-``"scenario.run"``, ...) to misbehave on its k-th call: raise, poison the
-payload with NaNs, scale it, stall, hang, or kill the process.  Sites are
+named instrumentation site (``"scenario.run"``, ``"qp.structured"``,
+``"enforce.step"``, ``"vf.relocate_batched"``, ``"vf.residues_batched"``)
+to misbehave on its k-th call: raise, poison the payload with NaNs, scale
+it, stall, hang, or kill the process.  Sites are
 instrumented with :func:`check` (count the call, return the armed action)
 and :func:`corrupt` (apply array-poisoning actions in place of the clean
 value).

@@ -25,7 +25,7 @@ class TestOptionCodec:
             VFOptions(),
             VFOptions(n_poles=7, dc_exact=True, kernel="reference"),
             EnforcementOptions(),
-            EnforcementOptions(max_iterations=5, checker_strategy="exact"),
+            EnforcementOptions(max_iterations=5, divergence_patience=2),
             ConditioningOptions(),
             ConditioningOptions(z0=75.0, dc_policy="drop", f_max=1e9,
                                 max_points=50, symmetrize="always"),
@@ -114,6 +114,12 @@ class TestReproConfig:
             )
         with pytest.raises(ValueError, match="ingest.*bogus"):
             ReproConfig.from_dict({"ingest": {"bogus": 1}})
+        # Fields of the deleted sampling checker strategy.
+        for key in ("checker_strategy", "exact_every"):
+            with pytest.raises(ValueError, match=f"enforcement.*{key}"):
+                ReproConfig.from_dict(
+                    {"flow": {"enforcement": {key: "exact"}}}
+                )
 
     def test_format_and_version_checked(self):
         with pytest.raises(ValueError, match="not a repro.config"):

@@ -159,7 +159,7 @@ class TestLegacyEquivalence:
         seed = {"network": tc.data, "termination": tc.termination,
                 "observe_port": tc.observe_port}
         assert pipeline.run_key(ReproConfig(), seed) == (
-            "8d192813db9775b6b04fd1824ed49a278f66a1203b749c0958c95b7d910aa14d"
+            "3a3ba3eb4e519799e8c7856861b70d86f74989590db700b9822af3a1a284ea41"
         )
 
         f = np.linspace(1e6, 1e9, 5)
@@ -170,7 +170,7 @@ class TestLegacyEquivalence:
         term = build_termination("0=r(50);1=r(50)", 2, observe_port=0)
         seed = {"network": data, "termination": term, "observe_port": 0}
         assert pipeline.run_key(ReproConfig(), seed) == (
-            "e2f5551079020eb2ee22bd08ed7b437a47a8d099c39bd792be2192ac55383b44"
+            "f643ae222159b98e3ecad8d4bb71680031b4d510cdbd50ff67408488736eb445"
         )
 
 

@@ -102,6 +102,10 @@ class TestScenarioSpec:
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown scenario parameters"):
             ScenarioSpec.from_dict({"name": "x", "bogus_knob": 1})
+        # Fields of the deleted sampling checker strategy.
+        for key in ("checker_strategy", "checker_exact_every"):
+            with pytest.raises(ValueError, match=f"unknown scenario.*{key}"):
+                ScenarioSpec.from_dict({"name": "x", key: "exact"})
 
 
 class TestCampaignSpec:

@@ -137,15 +137,13 @@ class TestMetrics:
              "pole_change": 0.2, "n_poles": 8, "converged": False},
             {"event": "enforce.iteration", "cost": "standard",
              "iteration": 1, "worst_sigma": 1.01, "n_bands": 2,
-             "n_constraints": 30, "working_set": 5, "mode": "sampling"},
-            {"event": "checker.sampling", "seed_grid": 100,
-             "final_grid": 400, "stages": 3, "violations": 2},
+             "n_constraints": 30, "working_set": 5},
         ]
         conv = convergence_from_events(events)
         assert set(conv["vf"]) == {"0:0", "1:0"}
         assert [row["iteration"] for row in conv["vf"]["0:0"]] == [1, 2]
         assert conv["enforcement"]["standard"][0]["working_set"] == 5
-        assert conv["sampling"][0]["final_grid"] == 400
+        assert set(conv) == {"vf", "enforcement"}
 
     def test_build_run_metrics_payload(self):
         tel = Telemetry(label="flow")
@@ -258,7 +256,7 @@ class TestTrace:
             with obs.span("stage:enforce"):
                 obs.emit("enforce.iteration", cost="standard", iteration=1,
                          worst_sigma=1.002, n_bands=3, n_constraints=40,
-                         working_set=7, mode="sampling")
+                         working_set=7)
 
     def test_render_from_telemetry_dir(self, tmp_path):
         self._record_run(tmp_path)

@@ -1,14 +1,17 @@
 """Fast passivity engine: exact-mode equivalence with the stateless
-checker, warm-started sampling grids, fast-vs-exact enforcement strategy
-equivalence, and the shared-G / structured QP fast paths."""
+checker, the full-size certificate of every passing enforcement verdict,
+and the shared-G / structured QP fast paths."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.obs import telemetry as obs
 from repro.passivity.check import check_passivity
 from repro.passivity.cost import BlockDiagonalCost, l2_gramian_cost
-from repro.passivity.enforce import EnforcementOptions, enforce_passivity
-from repro.passivity.engine import CheckerOptions, PassivityChecker
+from repro.passivity.enforce import enforce_passivity
+from repro.passivity.engine import PassivityChecker
 from repro.passivity.perturbation import build_constraints
 from repro.passivity.qp import _dual_nnls_dense, _solve_h_inv_ft, solve_block_qp
 from repro.statespace.hamiltonian import (
@@ -17,7 +20,15 @@ from repro.statespace.hamiltonian import (
     hamiltonian_matrix,
 )
 from repro.statespace.poleresidue import PoleResidueModel
+from repro.statespace.serialization import load_model
+from repro.util.linalg import max_singular_values
 from tests.conftest import make_random_stable_model
+
+#: A weighted enforced model (9 ports, 6 poles) that the program used to
+#: certify as passive: sigma_max reaches 1.000146 at 3.08e7 rad/s and
+#: exceeds 1 on [1.539e7, 4.424e7] rad/s, but the lower crossing was lost
+#: by the full-size candidate test and by the half-size test.
+MISCERTIFIED = Path(__file__).parent / "data" / "miscertified_small41.json"
 
 
 def violating_random_model(seed, n_ports=2, target_sigma=1.4):
@@ -38,12 +49,22 @@ def violating_random_model(seed, n_ports=2, target_sigma=1.4):
     return model
 
 
-def narrow_band_model(q=0.005, omega0=5.0, sigma=2.2):
-    """High-Q resonance: one very narrow violation band around omega0."""
-    poles = np.array([-q + omega0 * 1j, -q - omega0 * 1j])
-    r = sigma * q / 2.0 * 1.0000005  # peak |S| ~ sigma at resonance
-    residues = np.array([[[r]], [[r]]], dtype=complex)
-    return PoleResidueModel(poles, residues, np.zeros((1, 1)))
+def reciprocal(model):
+    """The model with symmetrized residues and constant term."""
+    return PoleResidueModel(
+        model.poles,
+        0.5 * (model.residues + model.residues.transpose(0, 2, 1)),
+        0.5 * (model.const + model.const.T),
+    )
+
+
+def eig_spans(session):
+    """(dimension, half_size) of each Hamiltonian eigensolve of a session."""
+    return [
+        (event["n"], event["half_size"]) for event in session.events
+        if event.get("event") == "span.finish"
+        and event["span"].endswith("kernel:hamiltonian_eig")
+    ]
 
 
 class TestCheckerExactEquivalence:
@@ -77,16 +98,6 @@ class TestCheckerExactEquivalence:
         with pytest.raises(ValueError, match="different"):
             checker.check_exact(other)
 
-    def test_options_validation(self):
-        with pytest.raises(ValueError):
-            CheckerOptions(strategy="magic")
-        with pytest.raises(ValueError):
-            CheckerOptions(exact_every=-1)
-        with pytest.raises(ValueError):
-            CheckerOptions(base_grid_points=2)
-        with pytest.raises(ValueError):
-            CheckerOptions(base_grid_points=64, max_grid_points=32)
-
 
 class TestHamiltonianInvariants:
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -105,112 +116,78 @@ class TestHamiltonianInvariants:
         )
 
 
-class TestSamplingWarmStart:
-    def test_cold_grid_misses_narrow_band(self):
-        model = narrow_band_model()
-        assert not check_passivity(model).is_passive
-        checker = PassivityChecker(
-            model, options=CheckerOptions(base_grid_points=32)
-        )
-        cold = checker.check_sampling(model)
-        assert cold.is_passive  # the narrow band slips through: not conclusive
+class TestEnforcementCertificate:
+    # Seed 4 is a genuinely hard instance that exceeds the iteration cap;
+    # the property is asserted on convergent ones.
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 6])
+    def test_matches_stateless_check(self, seed):
+        """Property: the certified final model passes an independent
+        full-size Hamiltonian check with the same worst singular value."""
+        model = violating_random_model(seed)
+        result = enforce_passivity(model, l2_gramian_cost(model))
+        assert result.converged and result.report_after.is_passive
+        oracle = check_passivity(result.model)
+        assert oracle.is_passive
+        assert abs(result.report_after.worst_sigma - oracle.worst_sigma) < 1e-9
 
-    def test_exact_crossings_warm_start_sampling(self):
-        model = narrow_band_model()
-        checker = PassivityChecker(
-            model, options=CheckerOptions(base_grid_points=32)
+    def test_report_after_is_full_size(self):
+        """On a reciprocal model the loop steers with half-size checks and
+        certifies with full-size ones: one per passing verdict, the last
+        of which is ``report_after``."""
+        model = reciprocal(violating_random_model(1))
+        session = obs.Telemetry(None, label="test")
+        with obs.session(session):
+            result = enforce_passivity(model, l2_gramian_cost(model))
+        assert result.converged
+        spans = eig_spans(session)
+        n = 2 * model.n_ports * model.element_state_dimension()
+        full_size = [dim for dim, half in spans if not half]
+        assert any(half for _, half in spans)  # the steering path ran
+        assert full_size == [n] * (
+            1 + session.counters.get("fallback.certificate_refuted", 0)
         )
-        exact = checker.check_exact(model)
-        assert not exact.is_passive
-        warm = checker.check_sampling(model)
-        assert not warm.is_passive
-        assert np.isclose(
-            warm.worst_sigma, exact.worst_sigma, rtol=1e-3
+        assert spans[-1] == (n, False)
+        oracle = check_passivity(result.model)
+        assert np.allclose(result.report_after.crossings, oracle.crossings)
+        assert result.report_after.worst_sigma == pytest.approx(
+            oracle.worst_sigma, rel=1e-12
         )
 
-    def test_seed_grid_clusters_remembered_points(self):
-        model = narrow_band_model()
-        checker = PassivityChecker(
-            model, options=CheckerOptions(base_grid_points=32)
-        )
-        base_grid = checker.seed_grid()
-        exact = checker.check_exact(model)
-        warmed_grid = checker.seed_grid()
-        assert warmed_grid.size > base_grid.size
-        for crossing in exact.crossings:
-            nearest = np.min(np.abs(warmed_grid - crossing) / crossing)
-            assert nearest < 1e-9  # remembered points are on the grid
+    def test_miscertified_model_is_refuted(self):
+        """Both certificates find the crossing near 1.54e7 rad/s."""
+        model = load_model(MISCERTIFIED)
+        checker = PassivityChecker(model)
+        for report in (check_passivity(model), checker.check(model)):
+            assert not report.is_passive
+            assert report.worst_sigma > 1.0
+            assert np.any(
+                (report.crossings >= 1.50e7) & (report.crossings <= 1.58e7)
+            )
 
-    def test_check_dispatch_certifies_passing_sampling(self):
-        """check() never returns an uncertified sampling 'passive'."""
-        model = narrow_band_model()
-        checker = PassivityChecker(
-            model, options=CheckerOptions(base_grid_points=32)
-        )
-        # iteration=1 in fast mode would use sampling, which misses the
-        # narrow band -- the certify step must catch it.
-        report = checker.check(model, iteration=1)
-        assert not report.is_passive
-        assert report.crossings.size  # verdict came from the exact test
-
-    def test_external_report_seeds_grid(self):
-        model = narrow_band_model()
-        checker = PassivityChecker(
-            model, options=CheckerOptions(base_grid_points=32)
-        )
-        checker.seed(check_passivity(model))
-        report = checker.check_sampling(model)
-        assert not report.is_passive
+    def test_enforcing_miscertified_model(self):
+        model = load_model(MISCERTIFIED)
+        session = obs.Telemetry(None, label="test")
+        with obs.session(session):
+            result = enforce_passivity(model, l2_gramian_cost(model))
+        assert not result.report_before.is_passive
+        assert session.counters["fallback.certificate_refuted"] >= 1
+        assert result.converged
+        omega = np.geomspace(1e5, 1e12, 20001)
+        sigma = max_singular_values(result.model.frequency_response(omega))
+        assert float(np.max(sigma)) <= 1.0
 
 
 class TestEnforcementStrategyEquivalence:
-    # Seed 4 is a genuinely hard instance that exceeds the iteration cap
-    # under *either* strategy; the property is asserted on convergent ones.
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 6])
-    def test_fast_and_exact_agree(self, seed):
-        """Property: both strategies certify the same verdict and land on
-        the same worst singular value within tolerance."""
-        model = violating_random_model(seed)
-        cost = l2_gramian_cost(model)
-        exact = enforce_passivity(
-            model, cost, EnforcementOptions(checker_strategy="exact")
-        )
-        fast = enforce_passivity(
-            model, cost, EnforcementOptions(checker_strategy="fast")
-        )
-        assert exact.converged and fast.converged
-        assert exact.report_after.is_passive == fast.report_after.is_passive
-        assert abs(
-            exact.report_after.worst_sigma - fast.report_after.worst_sigma
-        ) < 5e-3
-        # Both final models pass an independent exact Hamiltonian check.
-        assert check_passivity(exact.model).is_passive
-        assert check_passivity(fast.model).is_passive
-
-    def test_fast_result_is_exactly_certified(self):
-        model = violating_random_model(1)
-        result = enforce_passivity(
-            model,
-            l2_gramian_cost(model),
-            EnforcementOptions(checker_strategy="fast"),
-        )
-        assert result.converged
-        # report_after always comes from the exact Hamiltonian test.
-        last_mode = result.history[-1].check_mode
-        assert last_mode in ("exact", "sampling+certify")
-        assert result.report_after.worst_sigma <= 1.0
+    """How the iteration-0 report is obtained does not change the run."""
 
     def test_initial_report_passthrough(self):
         model = violating_random_model(2)
         cost = l2_gramian_cost(model)
         report = check_passivity(model)
         with_seed = enforce_passivity(
-            model, cost, EnforcementOptions(checker_strategy="exact"),
-            initial_report=report,
+            model, cost, initial_report=report,
         )
-        without = enforce_passivity(
-            model, cost, EnforcementOptions(checker_strategy="exact")
-        )
+        without = enforce_passivity(model, cost)
         assert with_seed.iterations == without.iterations
         assert np.allclose(
             with_seed.total_delta_c, without.total_delta_c, atol=1e-12
@@ -227,12 +204,6 @@ class TestEnforcementStrategyEquivalence:
             "rebuild_seconds",
         }
         assert profile["check_seconds"] > 0.0
-
-    def test_strategy_option_validation(self):
-        with pytest.raises(ValueError, match="checker_strategy"):
-            EnforcementOptions(checker_strategy="magic")
-        with pytest.raises(ValueError, match="exact_every"):
-            EnforcementOptions(exact_every=-2)
 
 
 class TestSharedGFastPath:

@@ -267,27 +267,12 @@ class TestQPAndCheckerLadders:
             rtol=1e-4, atol=1e-8,
         )
 
-    def test_checker_sampling_escalates_to_exact(self):
-        model = violating_model()
-        options = EnforcementOptions(checker_strategy="fast")
-        tel = Telemetry(label="test")
-        with session(tel), fault_plan(
-            FaultSpec(site="checker.sampling", action="nan", count=10_000)
-        ):
-            result = enforce_passivity(
-                model, l2_gramian_cost(model), options
-            )
-        assert result.converged
-        assert check_passivity(result.model).is_passive
-        assert tel.counters["fallback.checker_exact"] >= 1
-
 
 class TestBestIterateRecovery:
     def test_divergent_run_returns_best_iterate(self):
         model = violating_model()
         options = EnforcementOptions(
             max_iterations=8,
-            checker_strategy="exact",
             divergence_patience=2,
         )
         before = check_passivity(model)

@@ -87,6 +87,14 @@ class TestVerdict:
     def test_not_passive(self):
         assert not is_passive_hamiltonian(bump_model(1.5).to_state_space())
 
+    def test_passive_with_grazing_peak(self):
+        """A peak 1e-6 below 1 yields a verified crossing pair at the
+        peak; the model is still passive."""
+        peak = 1.0049387799061573  # sigma_max of bump_model(1.0)
+        ss = bump_model((1.0 - 1e-6) / peak).to_state_space()
+        assert imaginary_eigenvalue_frequencies(ss).size
+        assert is_passive_hamiltonian(ss)
+
     def test_d_gain_violation(self):
         model = PoleResidueModel(
             np.array([-1.0]), np.zeros((1, 1, 1), complex), np.array([[1.2]])
@@ -119,13 +127,11 @@ class TestHalfSizeHamiltonian:
             half_size_invariants(ss.a, ss.b, d, gamma=1.0)
 
     def test_engine_uses_half_size_only_for_reciprocal_models(self):
-        from repro.passivity.engine import CheckerOptions, PassivityChecker
+        from repro.passivity.engine import PassivityChecker
 
         model = make_reciprocal_model(seed=9, boost=1.9)
-        checker = PassivityChecker(
-            model, options=CheckerOptions(strategy="exact")
-        )
-        report = checker.check(model)
+        checker = PassivityChecker(model)
+        report = checker.check_exact(model)
         assert checker.n_half_size_checks == 1
 
         rng = np.random.default_rng(11)
@@ -133,10 +139,8 @@ class TestHalfSizeHamiltonian:
         skewed = PoleResidueModel(
             skewed.poles, skewed.residues, 0.5 * skewed.const
         )
-        full_checker = PassivityChecker(
-            skewed, options=CheckerOptions(strategy="exact")
-        )
-        full_checker.check(skewed)
+        full_checker = PassivityChecker(skewed)
+        full_checker.check_exact(skewed)
         assert full_checker.n_half_size_checks == 0  # not reciprocal
 
         # The half-size report agrees with the full-size oracle check.
