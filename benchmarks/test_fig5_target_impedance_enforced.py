@@ -10,7 +10,7 @@ timed kernel is one weighted enforcement run.
 
 import numpy as np
 
-from benchmarks.conftest import emit, save_series
+from benchmarks.conftest import GOLDEN, emit, save_series
 from repro.passivity.enforce import enforce_passivity
 from repro.sensitivity.weighted_norm import sensitivity_weighted_cost
 from repro.sensitivity.zpdn import target_impedance_of_model
@@ -66,6 +66,14 @@ def test_fig5_target_impedance_enforced(
 
     assert factor > 5.0
     assert rel["passive, weighted cost"][low].max() < 0.25
+    # Pinned outputs (the shared flow runs at the golden BLAS count).
+    golden = GOLDEN["fig5"]
+    np.testing.assert_allclose(
+        [rel["passive, standard cost"][low].max(),
+         rel["passive, weighted cost"][low].max()],
+        [golden["lowband_standard"], golden["lowband_weighted"]],
+        rtol=golden["rtol"],
+    )
 
     def weighted_enforcement_kernel():
         cost = sensitivity_weighted_cost(

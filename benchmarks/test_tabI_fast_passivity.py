@@ -18,14 +18,20 @@ the reference takes the 2n x 2n one throughout, and both runs' final
 reports match the stateless full-size check of their models) run
 everywhere; only the wall-clock comparison between the
 two runs is skipped under REPRO_SKIP_PERF_ASSERTS.
+
+The cases run once per session at the golden BLAS thread count: the
+large case's iteration count and certified worst sigma are pinned
+(tests/data/golden/enforcement.json), and its first enforcement QP's
+working set must stay within a small multiple of its active set.
 """
 
+import functools
 import os
 import time
 
 import numpy as np
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import GOLDEN, emit, golden_blas_threads
 from repro.obs.telemetry import Telemetry, events_of, session
 from repro.passivity import engine
 from repro.passivity.check import check_passivity
@@ -65,6 +71,15 @@ def _fit_case(size, n_frequencies, n_poles):
     return case, fit
 
 
+@functools.lru_cache(maxsize=None)
+def _run_case(size, n_frequencies, n_poles):
+    """Fit and enforce one case, once per session, at the golden BLAS
+    thread count: ``(case, fit, result, seconds, telemetry)``."""
+    with golden_blas_threads():
+        case, fit = _fit_case(size, n_frequencies, n_poles)
+        return (case, fit, *_enforce_recorded(fit.model))
+
+
 def _enforce_recorded(model):
     """Timed enforcement inside an in-memory telemetry session."""
     telemetry = Telemetry(None)
@@ -97,8 +112,9 @@ def test_tabI_fast_passivity(timing_artifacts_dir, monkeypatch):
         "worst sigma",
     ]
     for size, n_frequencies, n_poles in CASES:
-        case, fit = _fit_case(size, n_frequencies, n_poles)
-        result, seconds, telemetry = _enforce_recorded(fit.model)
+        case, fit, result, seconds, telemetry = _run_case(
+            size, n_frequencies, n_poles
+        )
         assert result.converged
         assert result.report_after.worst_sigma <= 1.0
 
@@ -131,7 +147,7 @@ def test_tabI_fast_passivity(timing_artifacts_dir, monkeypatch):
     # treats a ValueError from half_size_invariants as "no structured
     # path"), i.e. the original design with a 2N x 2N eigensolve per
     # check.
-    with monkeypatch.context() as patch:
+    with monkeypatch.context() as patch, golden_blas_threads():
         patch.setattr(engine, "half_size_invariants", _disable_half_size)
         full, large_full_size_seconds, full_telemetry = _enforce_recorded(
             large_model
@@ -173,6 +189,12 @@ def test_tabI_fast_passivity(timing_artifacts_dir, monkeypatch):
     assert full_spans
     assert not any(e["half_size"] for e in full_spans)
     assert full.converged
+    golden = GOLDEN["tabI_large"]
+    assert large_result.iterations == golden["iterations"]
+    np.testing.assert_allclose(
+        large_result.report_after.worst_sigma, golden["worst_sigma"],
+        rtol=golden["rtol"],
+    )
     for result in (large_result, full):
         oracle = check_passivity(result.model)
         assert oracle.is_passive
@@ -240,3 +262,30 @@ def test_tabI_half_size_hamiltonian_engaged(timing_artifacts_dir):
         f"worst sigma {report.worst_sigma:.8f} "
         f"(oracle {oracle.worst_sigma:.8f})",
     )
+
+
+def test_tabI_qp_structure():
+    """CI perf smoke: the enforcement QP's working set stays bounded.
+
+    Structural, for any hardware: on the large case's first QP (the
+    largest, every violated row of the unperturbed model), the final
+    working set stays within 12x the active set, and the QP call and
+    iteration counts are the golden ones.
+    """
+    _case, _fit, result, _seconds, telemetry = _run_case(*CASES[-1])
+    qp_spans = [
+        e for e in events_of(telemetry, "span.finish")
+        if e["span"].split("/")[-1] == "kernel:qp_solve"
+    ]
+    iterations = [
+        e for e in events_of(telemetry, "enforce.iteration")
+        if e["iteration"] > 0
+    ]
+    golden = GOLDEN["tabI_large"]["iterations"]
+    assert result.iterations == golden
+    assert len(qp_spans) == len(iterations) == golden
+    first_span, first = qp_spans[0], iterations[0]
+    assert first_span["working_set"] == first["working_set"]
+    assert first_span["rounds"] >= 1
+    assert 0 < first["active_set"] <= first["working_set"]
+    assert first["working_set"] <= 12 * first["active_set"]

@@ -67,6 +67,7 @@ def convergence_from_events(events: Iterable[Mapping]) -> dict:
                 "n_bands": event.get("n_bands"),
                 "n_constraints": event.get("n_constraints"),
                 "working_set": event.get("working_set"),
+                "active_set": event.get("active_set"),
             })
     return {"vf": vf, "enforcement": enforcement}
 

@@ -56,11 +56,14 @@ class _NullSpan:
 
     __slots__ = ()
 
-    def __enter__(self) -> None:
-        return None
+    def __enter__(self) -> "_NullSpan":
+        return self
 
     def __exit__(self, *exc: object) -> bool:
         return False
+
+    def annotate(self, **attrs: Any) -> None:
+        pass
 
 
 _NULL_SPAN = _NullSpan()
@@ -86,6 +89,10 @@ class _Span:
         seconds = time.perf_counter() - self._started
         self._telemetry._pop(self._name, seconds, self._attrs)
         return False
+
+    def annotate(self, **attrs: Any) -> None:
+        """Add attributes known only once the span's work is done."""
+        self._attrs.update(attrs)
 
 
 class Telemetry:

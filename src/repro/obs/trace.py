@@ -175,6 +175,7 @@ def _render_convergence(convergence: Mapping) -> list[str]:
             lines.append(f"  cost {key} ({len(rows)} iterations)")
             lines.append(
                 "    iter  worst_sigma  bands  constraints  working_set"
+                "  active_set"
             )
             for row in rows:
                 lines.append(
@@ -183,6 +184,7 @@ def _render_convergence(convergence: Mapping) -> list[str]:
                     f"  {_fmt(row.get('n_bands'), 5)}"
                     f"  {_fmt(row.get('n_constraints'), 11)}"
                     f"  {_fmt(row.get('working_set'), 11)}"
+                    f"  {_fmt(row.get('active_set'), 10)}"
                 )
     return lines
 

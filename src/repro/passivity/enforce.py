@@ -212,6 +212,7 @@ def enforce_passivity(
         n_bands=len(report_before.bands),
         n_constraints=0,
         working_set=0,
+        active_set=0,
     )
     current = model
     # Reciprocal input (the physical PDN case): symmetrized constraint
@@ -247,10 +248,11 @@ def enforce_passivity(
         constraint_s = time.perf_counter() - tic
 
         tic = time.perf_counter()
-        with obs.span("kernel:qp_solve", n_constraints=constraints.n_constraints):
+        with obs.span("kernel:qp_solve", n_constraints=constraints.n_constraints) as span:
             solution = solve_block_qp(
                 cost, constraints, dual_ridge=options.dual_ridge
             )
+            span.annotate(working_set=solution.working_set, rounds=solution.rounds)
         qp_s = time.perf_counter() - tic
 
         tic = time.perf_counter()
@@ -310,7 +312,8 @@ def enforce_passivity(
             worst_sigma=report.worst_sigma,
             n_bands=len(report.bands),
             n_constraints=constraints.n_constraints,
-            working_set=int(np.count_nonzero(solution.dual)),
+            working_set=solution.working_set,
+            active_set=int(np.count_nonzero(solution.dual)),
             check_seconds=check_s,
             constraint_seconds=constraint_s,
             qp_seconds=qp_s,

@@ -31,13 +31,17 @@ class ConstraintSet:
     order: x[((a * P) + b) * N + n] = delta_c[a, b, n].
 
     Each row of eq. (8) is the rank-2 tensor ``Re(w_i (x) k_i)`` with
-    ``w_i = conj(u_i) outer conj(v_i)`` (complex, length P^2) and the
-    shared element kernel ``k_i = k(omega_i)`` (complex, length N).  The
-    optional structured fields expose those factors so the QP solver can
-    work in the P^2/N factor spaces instead of sweeping the dense
-    (n_c, P^2 N) matrix: ``w_re``/``w_im`` are (n_c, P^2), ``kernels`` is
-    the (K, N) complex kernel table over the distinct frequencies, and
-    ``freq_index`` maps each row to its kernel.
+    ``w_i = conj(u_i) outer conj(v_i)`` (complex, P x P) and the shared
+    element kernel ``k_i = k(omega_i)`` (complex, length N).  The optional
+    structured fields expose those factors so the QP solver can work in
+    the factor spaces instead of sweeping the dense (n_c, P^2 N) matrix:
+    ``kernels`` is the (K, N) complex kernel table over the distinct
+    frequencies, ``freq_index`` maps each row to its kernel, and
+    ``w_re``/``w_im`` hold the port factor on columns, ``port_map[a, b]``
+    being the column of entry (a, b): P^2 columns (``a * P + b``), or for
+    symmetric sets one per upper-triangle pair a <= b, P(P+1)/2 of them,
+    holding the symmetrized ``w[a, b] = w[b, a]``.  ``x`` keeps the full
+    (P, P, N) layout either way.
     """
 
     matrix: np.ndarray | None
@@ -48,6 +52,7 @@ class ConstraintSet:
     w_im: np.ndarray | None = None
     kernels: np.ndarray | None = None
     freq_index: np.ndarray | None = None
+    port_map: np.ndarray | None = None
 
     @property
     def n_constraints(self) -> int:
@@ -61,6 +66,7 @@ class ConstraintSet:
             and self.w_im is not None
             and self.kernels is not None
             and self.freq_index is not None
+            and self.port_map is not None
         )
 
     def dense_matrix(self) -> np.ndarray:
@@ -76,7 +82,7 @@ class ConstraintSet:
             raise ValueError(
                 "constraint set has neither a dense matrix nor factors"
             )
-        w = self.w_re + 1j * self.w_im
+        w = (self.w_re + 1j * self.w_im)[:, self.port_map.ravel()]
         built = np.real(
             w[:, :, None] * self.kernels[self.freq_index][:, None, :]
         ).reshape(self.n_constraints, -1)
@@ -114,8 +120,8 @@ def build_constraints(
     singular value over the limit.
 
     ``symmetric=True`` (reciprocal models) symmetrizes each row's port
-    factor, ``w <- (w + w^T) / 2`` over the (P, P) port block.  For a
-    symmetric S this changes nothing to first order -- perturbations
+    factor, ``w <- (w + w^T) / 2``, stored on the upper-triangle pairs.
+    For a symmetric S this changes nothing to first order -- perturbations
     produced against these constraints are themselves symmetric, and the
     antisymmetric part of ``w`` is orthogonal to symmetric ``delta_c`` --
     but it makes the minimum-norm QP step exactly reciprocity-preserving,
@@ -157,8 +163,13 @@ def build_constraints(
     # Only the factors are stored; the dense matrix is built on demand.
     w = np.einsum("ma,mb->mab", u_sel, v_sel)
     if symmetric:
-        w = 0.5 * (w + w.transpose(0, 2, 1))
-    w = w.reshape(k_idx.size, p * p)
+        rows, cols = np.triu_indices(p)
+        w = 0.5 * (w[:, rows, cols] + w[:, cols, rows])
+        port_map = np.empty((p, p), dtype=np.intp)
+        port_map[rows, cols] = port_map[cols, rows] = np.arange(rows.size)
+    else:
+        w = w.reshape(k_idx.size, p * p)
+        port_map = np.arange(p * p).reshape(p, p)
     return ConstraintSet(
         matrix=None,
         bounds=(1.0 - margin) - sigma[k_idx, i_idx],
@@ -168,4 +179,5 @@ def build_constraints(
         w_im=np.ascontiguousarray(w.imag),
         kernels=kernels,
         freq_index=k_idx,
+        port_map=port_map,
     )

@@ -24,18 +24,20 @@ structures instead:
 
 * every linearized row of eq. (8) is a rank-2 tensor
   ``f_i = Re(w_i (x) k_i) = Re(w_i) (x) Re(k_i) - Im(w_i) (x) Im(k_i)``
-  with ``w_i = conj(u_i) outer conj(v_i)`` in C^(P^2) and the shared
-  element kernel ``k_i = k(omega_i)`` in C^N, so Gram entries, primal
-  slacks and H^-1 F^T products all collapse to P^2- and N-dimensional
-  contractions (:class:`_StructuredOps`) -- the (n_c x P^2 N) matrix is
-  never swept;
-* the dual is solved on a small working set of constraints (seeded with
-  the rows violated at x = 0) by a Lawson-Hanson active-set iteration on
-  the explicitly-formed working Gram, then a single structured pass over
-  all rows verifies global feasibility and pulls any violated
-  constraints into the working set.  On exit every constraint outside
-  the set is satisfied with zero multiplier, so the restricted KKT point
-  is the global optimum.
+  with the port factor ``w_i = conj(u_i) outer conj(v_i)`` and the
+  shared element kernel ``k_i = k(omega_i)`` in C^N, so Gram entries,
+  primal slacks and H^-1 F^T products all collapse to port- and
+  N-dimensional contractions (:class:`_StructuredOps`).  Reciprocal
+  models keep the port factor on the P(P+1)/2 upper-triangle pairs
+  (off-diagonal pairs count twice in dot products; the primal writes
+  (a, b) and (b, a) alike, so every step is exactly symmetric);
+* the dual is solved on a small working set of constraints (the rows
+  most violated at x = 0, grown each round by those the last solution
+  violates most, in one preallocated Gram) by a Lawson-Hanson active-set
+  iteration that up/downdates a Cholesky factor of the active Gram; a
+  structured pass over all rows then verifies global feasibility.  On
+  exit every row outside the set is satisfied with zero multiplier, so
+  the restricted KKT point is the global optimum.
 
 The dense route (explicit M + scipy NNLS, the pre-engine code path)
 remains both as the fallback and as the solver for per-element
@@ -69,9 +71,9 @@ _LOG = get_logger(__name__)
 #: dual Gram plus a smaller working set converges where the well-
 #: conditioned tuning cycles.
 _STRUCTURED_RUNGS = (
-    (1.0, 512, 1024, 32),
-    (1e4, 256, 512, 24),
-    (1e8, 128, 256, 16),
+    (1.0, 256, 128, 32),
+    (1e4, 128, 128, 32),
+    (1e8, 64, 64, 32),
 )
 
 
@@ -81,24 +83,16 @@ class QPSolution:
 
     ``delta_c`` has shape (P, P, N); ``cost`` is the achieved quadratic
     value; ``max_violation`` is the worst remaining linearized constraint
-    violation (should be ~0 for a feasible solve).
+    violation (should be ~0 for a feasible solve).  The last of ``rounds``
+    dual solves ran on ``working_set`` rows (all, on the dense route).
     """
 
     delta_c: np.ndarray
     cost: float
     max_violation: float
     dual: np.ndarray
-
-
-def _solve_h_inv_ft(
-    cost: BlockDiagonalCost, constraints: ConstraintSet
-) -> np.ndarray:
-    """Compute Y = H^-1 F^T exploiting the block structure; (P*P*N, n_c).
-
-    One batched solve over all constraints and blocks at once (a single
-    Cholesky solve in the shared-block case).
-    """
-    return cost.solve_flat(constraints.dense_matrix().T)
+    working_set: int = 0
+    rounds: int = 0
 
 
 def _dual_nnls_dense(
@@ -117,11 +111,32 @@ def _dual_nnls_dense(
     return lam
 
 
+def _cholesky_append(r: np.ndarray, column: np.ndarray, diagonal: float) -> np.ndarray:
+    """Extend the upper factor ``r`` of A to that of [[A, c], [c^T, d]]."""
+    s = scipy.linalg.solve_triangular(r, column, trans="T", check_finite=False)
+    pivot = diagonal - float(s @ s)
+    if not pivot > 0.0:
+        raise np.linalg.LinAlgError("extended matrix is not numerically PD")
+    return np.block([[r, s[:, None]], [np.zeros((1, s.size)), np.sqrt(pivot)]])
+
+
+def _cholesky_delete(r: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Factor of A without rows/columns ``positions`` (Givens downdate)."""
+    for i in positions[::-1]:
+        k = r.shape[0]
+        _, r = scipy.linalg.qr_delete(
+            np.eye(k), r, int(i), which="col", check_finite=False
+        )
+        r = r[: k - 1]
+    return r
+
+
 def _nnls_gram(
     m: np.ndarray, q: np.ndarray, warm: np.ndarray | None = None
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Lawson-Hanson NNLS for min 1/2 l^T M l + q^T l, l >= 0, with an
-    explicit (small, possibly very ill-conditioned) PSD Gram ``m``.
+    explicit (small, possibly very ill-conditioned) symmetric PSD Gram
+    ``m``.
 
     The enforcement dual is massively degenerate -- thousands of nearly
     parallel constraint rows make M numerically rank-deficient -- which the
@@ -129,6 +144,12 @@ def _nnls_gram(
     tolerates (unlike block-pivoting schemes, which need a P-matrix).
     Returns ``(lam, active_mask)`` or ``(None, None)`` on iteration-cap
     overflow.  ``warm`` optionally seeds the active set.
+
+    An upper Cholesky factor of M[active, active] is extended when an
+    index joins and downdated when indices leave; an active Gram that is
+    not numerically PD counts as a stall (the caller retries cold, then
+    with a stiffer ridge).  The gradient uses the active (contiguous) rows
+    of ``m``.
     """
     n = q.size
     gtol = 1e-10 * max(1.0, float(np.max(np.abs(q))) if n else 1.0)
@@ -137,22 +158,17 @@ def _nnls_gram(
     in_active = np.zeros(n, dtype=bool)
     lam_active = np.zeros(0)
     grad = q.copy()
-
-    def _solve_active() -> np.ndarray:
-        sub = m[np.ix_(active, active)]
-        try:
-            return scipy.linalg.solve(
-                sub, -q[active], assume_a="pos", check_finite=False
-            )
-        except (scipy.linalg.LinAlgError, ValueError):
-            return np.linalg.lstsq(sub, -q[active], rcond=None)[0]
-
+    factor = np.zeros((0, 0))
     max_iter = 5 * n + 100
     outer = 0
     pending_inner = False
     if warm is not None and warm.size == n and warm.any():
         active = [int(i) for i in np.nonzero(warm)[0]]
         in_active[active] = True
+        try:
+            factor = scipy.linalg.cholesky(m[np.ix_(active, active)], check_finite=False)
+        except np.linalg.LinAlgError:
+            return None, None
         lam_active = np.zeros(len(active))
         pending_inner = True  # clean the warm set before trusting it
 
@@ -164,13 +180,17 @@ def _nnls_gram(
             j = int(np.argmax(w)) if n else 0
             if n == 0 or w[j] <= gtol:
                 return lam, in_active  # KKT satisfied: optimal
+            try:
+                factor = _cholesky_append(factor, m[j, active], m[j, j])
+            except np.linalg.LinAlgError:
+                return None, None
             active.append(j)
             in_active[j] = True
             lam_active = np.append(lam_active, 0.0)
         pending_inner = False
 
         for _inner in range(max_iter):
-            z = _solve_active()
+            z = scipy.linalg.cho_solve((factor, False), -q[active], check_finite=False)
             if z.size and np.min(z) > 0.0:
                 lam_active = z
                 break
@@ -195,12 +215,13 @@ def _nnls_gram(
                     in_active[active[i]] = False
             active = [a for a, flag in zip(active, keep) if flag]
             lam_active = lam_active[keep]
+            factor = _cholesky_delete(factor, np.nonzero(~keep)[0])
         else:
             return None, None
 
         lam[:] = 0.0
         lam[active] = lam_active
-        grad = m[:, active] @ lam_active + q
+        grad = lam_active @ m[active] + q
     return None, None
 
 
@@ -216,7 +237,9 @@ class _StructuredOps:
                          + (wi_i . wi_j) (ki_i^T G^-1 ki_j)
 
     with the kernel tables precomputed once per QP over the (few hundred)
-    distinct frequencies.
+    distinct frequencies.  Port dot products run over the set's factor
+    columns weighted by multiplicity; a perturbation is held on the same
+    columns as an (n_cols, N) array.
     """
 
     def __init__(
@@ -227,10 +250,13 @@ class _StructuredOps:
         self.wr = constraints.w_re
         self.wi = constraints.w_im
         self.fi = constraints.freq_index
+        self.mult = np.bincount(constraints.port_map.ravel()).astype(float)
         kr = constraints.kernels.real  # (K, N)
         ki = constraints.kernels.imag
         self._kr = kr
         self._ki = ki
+        self._kr_rows = kr[self.fi]  # (n_c, N)
+        self._ki_rows = ki[self.fi]
         k = kr.shape[0]
         solved = cost.solve(0, 0, np.vstack([kr, ki]).T)  # (N, 2K)
         self.t_rr = kr @ solved[:, :k]
@@ -240,7 +266,7 @@ class _StructuredOps:
 
     def gram(self, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
         """Dual Gram submatrix M[rows_a, rows_b] (without ridge)."""
-        wr_a, wi_a = self.wr[rows_a], self.wi[rows_a]
+        wr_a, wi_a = self.wr[rows_a] * self.mult, self.wi[rows_a] * self.mult
         wr_b, wi_b = self.wr[rows_b], self.wi[rows_b]
         sel = np.ix_(self.fi[rows_a], self.fi[rows_b])
         return (
@@ -253,31 +279,27 @@ class _StructuredOps:
     def gram_diag(self) -> np.ndarray:
         """diag(M) over all rows (for the relative ridge scale)."""
         f = self.fi
+        wr_m, wi_m = self.wr * self.mult, self.wi * self.mult
         return (
-            np.einsum("ij,ij->i", self.wr, self.wr) * self.t_rr[f, f]
-            - 2.0 * np.einsum("ij,ij->i", self.wr, self.wi) * self.t_ri[f, f]
-            + np.einsum("ij,ij->i", self.wi, self.wi) * self.t_ii[f, f]
+            np.einsum("ij,ij->i", wr_m, self.wr) * self.t_rr[f, f]
+            - 2.0 * np.einsum("ij,ij->i", wr_m, self.wi) * self.t_ri[f, f]
+            + np.einsum("ij,ij->i", wi_m, self.wi) * self.t_ii[f, f]
         )
 
     def primal(self, rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """x = -H^-1 F[rows]^T lam on the flattened (P*P*N,) layout."""
-        k = self._kr.shape[0]
-        p2 = self.wr.shape[1]
-        acc_r = np.zeros((k, p2))
-        acc_i = np.zeros((k, p2))
-        np.add.at(acc_r, self.fi[rows], lam[:, None] * self.wr[rows])
-        np.add.at(acc_i, self.fi[rows], lam[:, None] * self.wi[rows])
-        ft = acc_r.T @ self._kr - acc_i.T @ self._ki  # (P^2, N)
-        return -self._cost.solve_flat(ft.reshape(-1))
+        """x = -H^-1 F[rows]^T lam on the factor columns, (n_cols, N)."""
+        used = lam > 0.0
+        rows, lam = rows[used], lam[used, None]
+        ft = (lam * self.wr[rows]).T @ self._kr_rows[rows] - (
+            lam * self.wi[rows]
+        ).T @ self._ki_rows[rows]
+        return -self._cost.solve(0, 0, ft.T).T
 
     def slacks(self, x: np.ndarray) -> np.ndarray:
         """F x - g over *all* rows in one factor-space pass."""
-        p2 = self.wr.shape[1]
-        x2 = x.reshape(p2, -1)
-        v_r = (x2 @ self._kr.T).T[self.fi]  # (n_c, P^2)
-        v_i = (x2 @ self._ki.T).T[self.fi]
-        fx = np.einsum("ij,ij->i", self.wr, v_r) - np.einsum(
-            "ij,ij->i", self.wi, v_i
+        xm = x * self.mult[:, None]
+        fx = np.einsum("ij,ij->i", self.wr @ xm, self._kr_rows) - np.einsum(
+            "ij,ij->i", self.wi @ xm, self._ki_rows
         )
         return fx - self.bounds
 
@@ -287,14 +309,15 @@ def _solve_structured(
     constraints: ConstraintSet,
     dual_ridge: float,
     *,
-    seed_cap: int = 512,
-    grow_cap: int = 1024,
-    max_rounds: int = 32,
-) -> tuple[np.ndarray, np.ndarray, float] | None:
+    seed_cap: int,
+    grow_cap: int,
+    max_rounds: int,
+) -> tuple[np.ndarray, np.ndarray, float, int, int] | None:
     """Working-set dual solve in factor space.
 
-    Returns ``(lam, x, max_violation)`` or ``None`` when the round/pivot
-    caps are hit (the caller falls back to the dense route).
+    Returns ``(lam, x, max_violation, working_set, rounds)``, with ``x``
+    on the factor columns, or ``None`` when the round/pivot caps are hit
+    (the caller falls back to the dense route).
     """
     if faultinject.check("qp.structured") == "stall":
         return None
@@ -306,23 +329,29 @@ def _solve_structured(
     # far below the enforcement margin, so the verdict is unaffected.
     tol = 1e-8 * max(1.0, float(np.max(np.abs(g))))
     lam = np.zeros(n_c)
-    seed = np.nonzero(g < 0.0)[0]
-    if seed.size == 0:
+    fresh = np.nonzero(g < 0.0)[0]
+    if fresh.size == 0:
         # x = 0 is feasible and optimal.
-        dim = ops.wr.shape[1] * ops._kr.shape[1]
-        return lam, np.zeros(dim), 0.0
-    if seed.size > seed_cap:
-        seed = seed[np.argsort(g[seed])[:seed_cap]]
-    work = seed
-    m_w = ops.gram(work, work)
-    m_w = 0.5 * (m_w + m_w.T)
-    m_w[np.arange(work.size), np.arange(work.size)] += ridge
+        return lam, np.zeros((ops.wr.shape[1], ops._kr.shape[1])), 0.0, 0, 0
+    if fresh.size > seed_cap:
+        fresh = fresh[np.argsort(g[fresh])[:seed_cap]]
+    # One buffer, sized for the largest set the caps allow, holds the
+    # working-set Gram; each round fills in only the fresh rows' border.
+    m_buf = np.empty((min(n_c, seed_cap + max_rounds * grow_cap),) * 2)
+    work = np.zeros(0, dtype=np.intp)
     warm: np.ndarray | None = None
-    for _ in range(max_rounds):
-        lam_w, free = _nnls_gram(m_w, g[work], warm)
+    for rounds in range(1, max_rounds + 1):
+        w, size = work.size, work.size + fresh.size
+        corner = ops.gram(fresh, fresh)
+        m_buf[w:size, w:size] = 0.5 * (corner + corner.T)
+        m_buf[range(w, size), range(w, size)] += ridge
+        m_buf[:w, w:size] = ops.gram(work, fresh)
+        m_buf[w:size, :w] = m_buf[:w, w:size].T
+        work = np.concatenate([work, fresh])
+        lam_w, free = _nnls_gram(m_buf[:size, :size], g[work], warm)
         if lam_w is None and warm is not None:
             # Warm starts occasionally stall the active set; retry cold.
-            lam_w, free = _nnls_gram(m_w, g[work], None)
+            lam_w, free = _nnls_gram(m_buf[:size, :size], g[work], None)
         if lam_w is None:
             return None
         x = ops.primal(work, lam_w)
@@ -331,18 +360,10 @@ def _solve_structured(
         slack[work] = -np.inf  # handled exactly by the subproblem
         fresh = np.nonzero(slack > tol)[0]
         if fresh.size == 0:
-            lam[:] = 0.0
             lam[work] = lam_w
-            return lam, x, max(violation, 0.0)
+            return lam, x, max(violation, 0.0), work.size, rounds
         if fresh.size > grow_cap:
             fresh = fresh[np.argsort(-slack[fresh])[:grow_cap]]
-        # Extend the working-set Gram incrementally.
-        cross = ops.gram(work, fresh)
-        corner = ops.gram(fresh, fresh)
-        corner = 0.5 * (corner + corner.T)
-        corner[np.arange(fresh.size), np.arange(fresh.size)] += ridge
-        m_w = np.block([[m_w, cross], [cross.T, corner]])
-        work = np.concatenate([work, fresh])
         warm = np.concatenate([free, np.zeros(fresh.size, dtype=bool)])
     return None
 
@@ -385,15 +406,17 @@ def solve_block_qp(
             )
             if structured is None:
                 continue
-            lam, x, violation = structured
+            lam, x, violation, working_set, rounds = structured
             if not np.isfinite(x).all():
                 continue
-            delta_c = x.reshape(p, p, n)
+            delta_c = x[constraints.port_map]
             return QPSolution(
                 delta_c=delta_c,
                 cost=0.5 * cost.quadratic_value(delta_c),
                 max_violation=violation,
                 dual=lam,
+                working_set=working_set,
+                rounds=rounds,
             )
         obs.incr("fallback.qp_dense")
         _LOG.warning(
@@ -403,7 +426,7 @@ def solve_block_qp(
     try:
         f = constraints.dense_matrix()
         g = constraints.bounds
-        y = _solve_h_inv_ft(cost, constraints)
+        y = cost.solve_flat(f.T)  # H^-1 F^T
         # dual_ridge is relative to the mean diagonal of M.
         diag = np.einsum("ij,ji->i", f, y)
         scale = max(float(np.mean(diag)), 1e-300)
@@ -425,4 +448,6 @@ def solve_block_qp(
         cost=0.5 * cost.quadratic_value(delta_c),
         max_violation=max(violation, 0.0),
         dual=lam,
+        working_set=g.size,
+        rounds=1,
     )

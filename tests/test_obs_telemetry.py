@@ -137,12 +137,13 @@ class TestMetrics:
              "pole_change": 0.2, "n_poles": 8, "converged": False},
             {"event": "enforce.iteration", "cost": "standard",
              "iteration": 1, "worst_sigma": 1.01, "n_bands": 2,
-             "n_constraints": 30, "working_set": 5},
+             "n_constraints": 30, "working_set": 5, "active_set": 3},
         ]
         conv = convergence_from_events(events)
         assert set(conv["vf"]) == {"0:0", "1:0"}
         assert [row["iteration"] for row in conv["vf"]["0:0"]] == [1, 2]
         assert conv["enforcement"]["standard"][0]["working_set"] == 5
+        assert conv["enforcement"]["standard"][0]["active_set"] == 3
         assert set(conv) == {"vf", "enforcement"}
 
     def test_build_run_metrics_payload(self):
@@ -256,7 +257,7 @@ class TestTrace:
             with obs.span("stage:enforce"):
                 obs.emit("enforce.iteration", cost="standard", iteration=1,
                          worst_sigma=1.002, n_bands=3, n_constraints=40,
-                         working_set=7)
+                         working_set=7, active_set=4)
 
     def test_render_from_telemetry_dir(self, tmp_path):
         self._record_run(tmp_path)
@@ -265,6 +266,8 @@ class TestTrace:
         assert "2.500e-01" in text  # the pole_change sample
         assert "passivity enforcement: worst sigma" in text
         assert "1.002e+00" in text
+        assert "working_set  active_set" in text
+        assert "          7           4" in text
         assert "per stage:" in text and "standard_fit" in text
         assert "per kernel:" in text and "vf.relocate" in text
         assert "artifact_store.hits" in text

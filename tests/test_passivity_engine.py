@@ -13,7 +13,7 @@ from repro.passivity.cost import BlockDiagonalCost, l2_gramian_cost
 from repro.passivity.enforce import enforce_passivity
 from repro.passivity.engine import PassivityChecker
 from repro.passivity.perturbation import build_constraints
-from repro.passivity.qp import _dual_nnls_dense, _solve_h_inv_ft, solve_block_qp
+from repro.passivity.qp import _dual_nnls_dense, solve_block_qp
 from repro.statespace.hamiltonian import (
     hamiltonian_from_invariants,
     hamiltonian_invariants,
@@ -238,7 +238,7 @@ class TestSharedGFastPath:
         assert constraints.structured
         cost = l2_gramian_cost(model)
         solution = solve_block_qp(cost, constraints)
-        y = _solve_h_inv_ft(cost, constraints)
+        y = cost.solve_flat(constraints.dense_matrix().T)
         diag = np.einsum("ij,ji->i", constraints.dense_matrix(), y)
         ridge = 1e-12 * max(float(np.mean(diag)), 1e-300)
         lam = _dual_nnls_dense(

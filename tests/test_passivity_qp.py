@@ -1,12 +1,18 @@
-"""QP solver: optimality against a reference solver, KKT conditions."""
+"""QP solver: optimality against a reference solver, KKT conditions, and
+the structured (factor-space) path against the dense route."""
 
 import numpy as np
 import pytest
 import scipy.optimize
 
-from repro.passivity.cost import BlockDiagonalCost
-from repro.passivity.perturbation import ConstraintSet
+from repro.passivity.check import check_passivity
+from repro.passivity.cost import BlockDiagonalCost, l2_gramian_cost
+from repro.passivity.engine import is_reciprocal
+from repro.passivity.perturbation import ConstraintSet, build_constraints
 from repro.passivity.qp import solve_block_qp
+from repro.resilience.faultinject import FaultSpec, fault_plan
+from repro.statespace.poleresidue import PoleResidueModel
+from tests.conftest import make_random_stable_model
 
 
 def make_constraints(f, g):
@@ -115,3 +121,61 @@ class TestKKT:
         # Minimum-norm solution: x = (-2, 0), cost = 0.5 * 4 = 2.
         assert np.isclose(sol.cost, 2.0, rtol=1e-8)
         assert np.allclose(sol.delta_c.reshape(-1), [-2.0, 0.0], atol=1e-8)
+
+
+def _violating_model(seed, n_ports, *, symmetric):
+    """A seeded stable model scaled to sigma_max = 1.3 on its worst peak."""
+    rng = np.random.default_rng(seed)
+    model = make_random_stable_model(rng, n_real=2, n_pairs=3, n_ports=n_ports)
+    residues, const = model.residues, 0.5 * model.const
+    if symmetric:
+        residues = 0.5 * (residues + residues.transpose(0, 2, 1))
+        const = 0.5 * (const + const.T)
+    worst = check_passivity(PoleResidueModel(model.poles, residues, const))
+    scale = 1.3 / worst.worst_sigma
+    return PoleResidueModel(model.poles, residues * scale, const)
+
+
+class TestStructuredPath:
+    """The factor-space working-set solve against the dense route, on
+    constraint sets built by build_constraints (the path every
+    shared-cost enforcement takes).  A dense grid over each violation
+    band gives more violated rows than the first working set holds, so
+    the set grows over several rounds."""
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("seed", [5, 14])
+    def test_matches_dense_route(self, seed, symmetric):
+        model = _violating_model(seed, 4, symmetric=symmetric)
+        assert is_reciprocal(model) == symmetric
+        report = check_passivity(model)
+        omega = np.concatenate([
+            np.linspace(band.omega_low, band.omega_high, 300)
+            for band in report.bands
+        ])
+        constraints = build_constraints(model, omega, symmetric=symmetric)
+        p = model.n_ports
+        assert constraints.w_re.shape[1] == (p * (p + 1) // 2 if symmetric else p * p)
+        cost = l2_gramian_cost(model)
+        structured = solve_block_qp(cost, constraints)
+        with fault_plan(
+            FaultSpec(site="qp.structured", action="stall", count=10_000)
+        ):
+            dense = solve_block_qp(cost, constraints)
+        assert structured.rounds >= 2 and dense.rounds == 1
+        assert np.count_nonzero(structured.dual) <= structured.working_set
+        assert dense.working_set == constraints.n_constraints
+        scale = np.linalg.norm(dense.delta_c)
+        assert scale > 0.0
+        assert np.linalg.norm(structured.delta_c - dense.delta_c) <= 1e-8 * scale
+        if symmetric:
+            assert np.array_equal(
+                structured.delta_c, structured.delta_c.transpose(1, 0, 2)
+            )
+        # KKT feasibility over every row, not only the working set.
+        g = constraints.bounds
+        tol = 1e-8 * max(1.0, float(np.max(np.abs(g))))
+        for solution in (structured, dense):
+            x = solution.delta_c.reshape(-1)
+            assert np.max(constraints.dense_matrix() @ x - g) <= tol
+            assert np.all(solution.dual >= 0.0)
