@@ -7,14 +7,16 @@ Walks the observability surface end to end on the paper's small PDN case:
 2. poke at the live session object -- counters, hierarchical span totals,
    raw events -- and pull the per-iteration convergence trajectories the
    way ``run_metrics.json`` does;
-3. attach an :class:`~repro.api.EventObserver` to see the same stage
-   events as structured dicts while the pipeline runs;
+3. read the pipeline's ``stage.finish`` events -- one structured dict per
+   stage with its status, span-timed seconds and store key;
 4. render the recorded directory with the same code path as the
    ``repro trace`` subcommand.
 
 Equivalent CLI::
 
-    repro flow --size small --telemetry telemetry_tour_out
+    repro testcase --size small --output-dir case
+    repro flow case/pdn.s9p --termination case/termination.json \\
+        --telemetry telemetry_tour_out
     repro trace telemetry_tour_out
 
 Run:  python examples/telemetry_tour.py        (headless, a few seconds)
@@ -23,21 +25,11 @@ Run:  python examples/telemetry_tour.py        (headless, a few seconds)
 import shutil
 from pathlib import Path
 
-from repro.api import EventObserver, Pipeline, ReproConfig, standard_stages
+from repro.api import Pipeline, ReproConfig, standard_stages
 from repro.obs import render_trace, telemetry_session
 from repro.obs.metrics import convergence_from_events
+from repro.obs.telemetry import events_of
 from repro.pdn.testcase import make_paper_testcase
-
-
-class StagePrinter(EventObserver):
-    """Observer view: the pipeline's stage events as structured dicts."""
-
-    def on_event(self, event):
-        if event["event"] == "stage.finish":
-            print(
-                f"  [observer] {event['stage']:<14} {event['status']:<9}"
-                f" {event['seconds']:.3f}s"
-            )
 
 
 def main():
@@ -52,11 +44,10 @@ def main():
         "observe_port": case.observe_port,
     }
 
-    # 1 + 3 -- record a session while an observer watches the same stream.
+    # 1 -- record a session.
     print("== running the pipeline under a telemetry session ==")
     with telemetry_session(out, label="tour", kind="flow") as telemetry:
-        pipeline = Pipeline(standard_stages(), observers=[StagePrinter()])
-        pipeline.run(ReproConfig(), seed)
+        Pipeline(standard_stages()).run(ReproConfig(), seed)
 
     # 2 -- the session object after the run.
     print("\n== counters ==")
@@ -81,6 +72,14 @@ def main():
     for cost, rows in sorted(convergence["enforcement"].items()):
         sigmas = " -> ".join(f"{row['worst_sigma']:.6f}" for row in rows)
         print(f"  cost {cost}: {sigmas}")
+
+    # 3 -- the stage events, as structured dicts.
+    print("\n== stage.finish events ==")
+    for event in events_of(telemetry, "stage.finish"):
+        print(
+            f"  {event['stage']:<14} {event['status']:<9}"
+            f" {event['seconds']:.3f}s"
+        )
 
     # 4 -- the files on disk and the trace renderer over them.
     print("\n== recorded files ==")

@@ -16,7 +16,7 @@ Public API tour
   enforcement (eqs. 8-10).
 * :mod:`repro.api` -- the composable pipeline engine: typed stages, the
   content-addressed artifact store, the unified :class:`ReproConfig` and
-  the event-observer hooks.  Every execution surface (``run_flow``, the
+  per-stage provenance records.  Every execution surface (``run_flow``, the
   CLI, the campaign executor) runs on it.
 * :mod:`repro.flow` -- the end-to-end flow (``run_flow``, ``FlowResult``).
 * :mod:`repro.campaign` -- parallel scenario-sweep orchestration with
@@ -33,7 +33,6 @@ Public API tour
 from repro.api import (
     ArtifactStore,
     Pipeline,
-    PipelineObserver,
     ReproConfig,
     standard_pipeline,
 )
@@ -81,7 +80,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ArtifactStore",
     "Pipeline",
-    "PipelineObserver",
     "ReproConfig",
     "standard_pipeline",
     "CampaignSpec",

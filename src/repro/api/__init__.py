@@ -12,8 +12,8 @@ the same :class:`Pipeline`.
   concrete stages with typed artifact declarations;
 * :mod:`repro.api.artifacts` -- artifact codecs, content digests and the
   content-addressed :class:`ArtifactStore` (per-stage caching/resume);
-* :mod:`repro.api.pipeline` -- the :class:`Pipeline` runner, provenance
-  records and the observer event hooks.
+* :mod:`repro.api.pipeline` -- the :class:`Pipeline` runner and its
+  per-stage provenance records.
 
 Quick start (embedding)::
 
@@ -41,10 +41,7 @@ from repro.api.config import (
     options_token,
 )
 from repro.api.pipeline import (
-    ConsoleObserver,
-    EventObserver,
     Pipeline,
-    PipelineObserver,
     PipelineRun,
     StageExecution,
     file_pipeline,
@@ -74,10 +71,7 @@ __all__ = [
     "options_from_dict",
     "options_to_dict",
     "options_token",
-    "ConsoleObserver",
-    "EventObserver",
     "Pipeline",
-    "PipelineObserver",
     "PipelineRun",
     "StageExecution",
     "file_pipeline",

@@ -17,9 +17,9 @@ a pipeline walks the stages in order; for each stage it either
 
 Every decision is recorded as a :class:`StageExecution` (status, wall
 time, store key), which is the provenance surfaced in ``FlowResult``
-summaries and campaign records.  Observers receive
-``on_stage_start``/``on_stage_finish`` callbacks -- the structured
-replacement for ad-hoc ``--profile`` plumbing.
+summaries and campaign records.  A stage's wall time is its
+``stage:<name>`` telemetry span; each resolved stage is also logged at
+INFO and recorded as a ``stage.finish`` telemetry event.
 
 Pipelines are immutable and composable: :meth:`Pipeline.with_stage`
 inserts a custom stage relative to an existing one and
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -95,69 +94,6 @@ class StageExecution:
         }
 
 
-class PipelineObserver:
-    """Event hook base class; override any subset of the callbacks."""
-
-    def on_stage_start(self, stage: PipelineStage) -> None:
-        """Called immediately before a stage is resolved (any status)."""
-
-    def on_stage_finish(
-        self, stage: PipelineStage, execution: StageExecution
-    ) -> None:
-        """Called after a stage resolved, with its provenance record."""
-
-
-class EventObserver(PipelineObserver):
-    """Observer receiving stage callbacks as structured event dicts.
-
-    The callback payloads are the same shapes the telemetry layer records
-    (``{"event": "stage.start", "stage": name}`` and ``{"event":
-    "stage.finish", **execution.to_dict()}``), so an observer written
-    against :meth:`on_event` works identically over a live pipeline run
-    and over a replayed ``events-*.jsonl`` telemetry stream.
-    """
-
-    def on_event(self, event: dict) -> None:
-        """Receive one structured event; override in subclasses."""
-
-    def on_stage_start(self, stage: PipelineStage) -> None:
-        self.on_event({"event": "stage.start", "stage": stage.name})
-
-    def on_stage_finish(
-        self, stage: PipelineStage, execution: StageExecution
-    ) -> None:
-        self.on_event({"event": "stage.finish", **execution.to_dict()})
-
-
-class ConsoleObserver(EventObserver):
-    """Reports stage progress and timings (the CLI ``--profile`` surface).
-
-    By default lines go through the package logger (``repro.api.pipeline``
-    at INFO), so library embedders control them with standard logging
-    configuration and nothing hits stdout unbidden.  Passing a ``stream``
-    writes the same lines there instead -- the CLI passes ``sys.stdout``
-    to keep ``--profile`` output visible without logging setup.
-    """
-
-    def __init__(self, stream=None) -> None:
-        self.stream = stream
-
-    def _emit_line(self, line: str) -> None:
-        if self.stream is not None:
-            print(line, file=self.stream)
-        else:
-            _LOG.info("%s", line)
-
-    def on_event(self, event: dict) -> None:
-        if event.get("event") == "stage.start":
-            self._emit_line(f"stage {event['stage']}: running ...")
-        elif event.get("event") == "stage.finish":
-            self._emit_line(
-                f"stage {event['stage']}: {event['status']} "
-                f"in {event['seconds']:.3f}s"
-            )
-
-
 @dataclass(frozen=True)
 class PipelineRun:
     """Everything one :meth:`Pipeline.run` produced."""
@@ -170,10 +106,6 @@ class PipelineRun:
 
     def __contains__(self, name: str) -> bool:
         return name in self.artifacts
-
-    def timings(self) -> dict[str, float]:
-        """Wall seconds per stage (zero for seeded/loaded stages)."""
-        return {e.stage: e.seconds for e in self.executions}
 
     def provenance(self) -> list[dict]:
         """JSON-compatible per-stage execution records."""
@@ -189,7 +121,6 @@ class Pipeline:
         *,
         store: ArtifactStore | None = None,
         store_stages: Iterable[str] | None = None,
-        observers: Iterable[PipelineObserver] = (),
     ) -> None:
         """``store_stages`` restricts which stages use the store (both
         lookup and write); ``None`` means every cacheable stage.  Callers
@@ -201,7 +132,6 @@ class Pipeline:
         self.store_stages: frozenset[str] | None = (
             None if store_stages is None else frozenset(store_stages)
         )
-        self.observers: tuple[PipelineObserver, ...] = tuple(observers)
         self._validate_graph()
 
     # ------------------------------------------------------------------
@@ -246,12 +176,11 @@ class Pipeline:
         after: str | None = None,
         before: str | None = None,
         store: ArtifactStore | None = None,
-        observers: Iterable[PipelineObserver] | None = None,
     ) -> "Pipeline":
         """A new pipeline with ``stage`` inserted relative to an existing one.
 
         Exactly one of ``after``/``before`` selects the anchor; omitting
-        both appends.  ``store``/``observers`` default to this pipeline's.
+        both appends.  ``store`` defaults to this pipeline's.
         """
         if after is not None and before is not None:
             raise ValueError("pass only one of 'after' and 'before'")
@@ -266,7 +195,6 @@ class Pipeline:
             stages,
             store=self.store if store is None else store,
             store_stages=self.store_stages,
-            observers=self.observers if observers is None else observers,
         )
 
     def replace_stage(
@@ -276,8 +204,7 @@ class Pipeline:
         stages = list(self.stages)
         stages[self._index_of(name)] = stage
         return Pipeline(
-            stages, store=self.store, store_stages=self.store_stages,
-            observers=self.observers,
+            stages, store=self.store, store_stages=self.store_stages
         )
 
     # ------------------------------------------------------------------
@@ -346,15 +273,10 @@ class Pipeline:
         for stage in self.stages:
             out_names = [spec.name for spec in stage.outputs]
             seeded = [name for name in out_names if name in state]
-            for observer in self.observers:
-                observer.on_stage_start(stage)
-            with obs.span(f"stage:{stage.name}"):
-                started = time.perf_counter()
+            key: str | None = None
+            with obs.span(f"stage:{stage.name}") as span:
                 if seeded and len(seeded) == len(out_names):
-                    execution = StageExecution(
-                        stage=stage.name, status=STATUS_SEEDED, seconds=0.0,
-                        outputs=tuple(out_names),
-                    )
+                    status = STATUS_SEEDED
                 elif seeded:
                     raise ValueError(
                         f"stage {stage.name!r}: outputs {sorted(seeded)} are "
@@ -379,8 +301,8 @@ class Pipeline:
                     for spec in stage.inputs:
                         spec.check(inputs[spec.name])
                     try:
-                        execution, values = self._resolve(
-                            stage, config, inputs, started
+                        status, key, values = self._resolve(
+                            stage, config, inputs
                         )
                     except Exception as exc:
                         # Tag the failing stage so campaign failure
@@ -393,11 +315,14 @@ class Pipeline:
                                 pass  # slotted exception; keep original
                         raise
                     state.update(values)
+            execution = StageExecution(
+                stage=stage.name, status=status, seconds=span.seconds,
+                key=key, outputs=tuple(out_names),
+            )
             executions.append(execution)
-            obs.incr(f"pipeline.stages_{execution.status}")
+            obs.incr(f"pipeline.stages_{status}")
             obs.emit("stage.finish", **execution.to_dict())
-            for observer in self.observers:
-                observer.on_stage_finish(stage, execution)
+            _LOG.info("stage %s: %s in %.3fs", stage.name, status, span.seconds)
             if stage.name == stop_after:
                 break
 
@@ -408,9 +333,12 @@ class Pipeline:
         stage: PipelineStage,
         config: ReproConfig,
         inputs: dict,
-        started: float,
-    ) -> tuple[StageExecution, dict]:
-        """Load the stage's outputs from the store or compute (and store)."""
+    ) -> tuple[str, str | None, dict]:
+        """Load the stage's outputs from the store or compute (and store).
+
+        Returns the stage's status, its store key (``None`` when the
+        store is not used) and its output values.
+        """
         out_names = [spec.name for spec in stage.outputs]
         key: str | None = None
         values: dict | None = None
@@ -444,22 +372,13 @@ class Pipeline:
             )
             if store_this and key is not None:
                 self.store.put(key, {name: values[name] for name in out_names})
-        values = {name: values[name] for name in out_names}
-        seconds = time.perf_counter() - started
-        if status == STATUS_CACHED:
-            _LOG.info("stage %s: store hit (%s)", stage.name, key[:12])
-        execution = StageExecution(
-            stage=stage.name, status=status, seconds=seconds,
-            key=key, outputs=tuple(out_names),
-        )
-        return execution, values
+        return status, key, {name: values[name] for name in out_names}
 
 
 def standard_pipeline(
     *,
     store: ArtifactStore | None = None,
     store_stages: Iterable[str] | None = None,
-    observers: Iterable[PipelineObserver] = (),
 ) -> Pipeline:
     """The paper's five-step flow over in-memory data.
 
@@ -467,10 +386,7 @@ def standard_pipeline(
     precomputed ``standard_fit``) when running it; use
     :func:`file_pipeline` to start from a Touchstone file instead.
     """
-    return Pipeline(
-        standard_stages(), store=store, store_stages=store_stages,
-        observers=observers,
-    )
+    return Pipeline(standard_stages(), store=store, store_stages=store_stages)
 
 
 def file_pipeline(
@@ -480,7 +396,6 @@ def file_pipeline(
     *,
     store: ArtifactStore | None = None,
     store_stages: Iterable[str] | None = None,
-    observers: Iterable[PipelineObserver] = (),
 ) -> Pipeline:
     """Ingest stage + the standard flow: Touchstone file to passive model."""
     from repro.api.stages import IngestStage
@@ -489,5 +404,4 @@ def file_pipeline(
         (IngestStage(source, termination, observe_port), *standard_stages()),
         store=store,
         store_stages=store_stages,
-        observers=observers,
     )

@@ -63,7 +63,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.api import (
-    ConsoleObserver,
     Pipeline,
     ReproConfig,
     StandardFitStage,
@@ -73,7 +72,6 @@ from repro.flow.macromodel import FlowOptions, run_flow
 from repro.flow.metrics import impedance_error_report
 from repro.ingest import ConditioningOptions, build_termination, load_network
 from repro.passivity.check import check_passivity
-from repro.passivity.enforce import EnforcementResult
 from repro.pdn.spec import save_termination
 from repro.pdn.testcase import make_paper_testcase
 from repro.sensitivity.zpdn import target_impedance_of_model
@@ -137,26 +135,21 @@ def _repro_config(args: argparse.Namespace) -> ReproConfig:
     )
 
 
-def _observers(args: argparse.Namespace) -> list:
-    """Pipeline event observers implied by the flags (``--profile``)."""
-    # Stream explicitly to stdout: the observer's logger default is for
-    # library embedders; --profile output must not need logging setup.
-    return (
-        [ConsoleObserver(sys.stdout)] if getattr(args, "profile", False)
-        else []
-    )
-
-
 def _with_telemetry(args: argparse.Namespace, label: str, func) -> int:
-    """Run ``func(args)`` inside a telemetry session when --telemetry is set."""
-    directory = getattr(args, "telemetry", None)
-    if directory is None:
+    """Run ``func(args)`` inside a telemetry session when --telemetry or
+    --profile is set (in memory unless --telemetry names a directory);
+    --profile then prints the session's trace, span rollup included."""
+    directory = args.telemetry
+    if directory is None and not args.profile:
         return func(args)
-    from repro.obs import telemetry_session
+    from repro.obs import build_run_metrics, render_trace, telemetry_session
 
-    with telemetry_session(directory, label=label, kind="flow"):
+    with telemetry_session(directory, label=label, kind="flow") as telemetry:
         code = func(args)
-    print(f"telemetry     : {Path(directory) / 'run_metrics.json'}")
+    if args.profile:
+        print(render_trace(build_run_metrics(telemetry)), end="")
+    if directory is not None:
+        print(f"telemetry     : {Path(directory) / 'run_metrics.json'}")
     return code
 
 
@@ -168,15 +161,7 @@ def _observe_port(args: argparse.Namespace) -> int:
 def _run_flow_outputs(args: argparse.Namespace, data, termination, out: Path) -> int:
     """Run the full pipeline and write the flow artifact set to ``out``."""
     observe_port = _observe_port(args)
-    result = run_flow(
-        data, termination, observe_port, _repro_config(args),
-        observers=_observers(args),
-    )
-
-    if args.profile:
-        print(_enforcement_profile("standard cost", result.standard_enforced))
-        print(_enforcement_profile("weighted cost", result.weighted_enforced))
-
+    result = run_flow(data, termination, observe_port, _repro_config(args))
     save_model(result.weighted_enforced.model, out / "passive_model.json")
     omega = data.omega
     report = impedance_error_report(list(result.accuracy_rows))
@@ -238,7 +223,7 @@ def _cmd_fit_impl(args: argparse.Namespace) -> int:
         return _run_flow_outputs(args, data, termination, out)
 
     # Plain fit: a one-stage pipeline seeded with the conditioned data.
-    pipeline = Pipeline([StandardFitStage()], observers=_observers(args))
+    pipeline = Pipeline([StandardFitStage()])
     run = pipeline.run(_repro_config(args), seed={"network": data})
     result = run["standard_fit"]
     save_model(result.model, out / "model.json")
@@ -443,17 +428,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                         f"  {stage['stage']}: {stage['status']} "
                         f"in {stage['seconds']:.3f}s"
                     )
-            profile = timings.get("enforcement_profile")
-            if not profile:
-                continue
-            print(f"{record['run_id']}:")
-            for label, p in profile.items():
-                print(
-                    f"  {label}: check {p['check_seconds']:.3f}s, "
-                    f"constraints {p['constraint_seconds']:.3f}s, "
-                    f"qp {p['qp_seconds']:.3f}s, "
-                    f"rebuild {p['rebuild_seconds']:.3f}s"
-                )
+        if args.telemetry is not None:
+            # Worker spans are recorded only into a telemetry directory.
+            from repro.obs import render_trace
+
+            print(render_trace(args.telemetry), end="")
     print(f"registry      : {out}")
     if cache is not None:
         print(f"cache         : {cache}")
@@ -462,29 +441,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             f"telemetry     : {Path(args.telemetry) / 'run_metrics.json'}"
         )
     return 0 if result.n_failed == 0 else 3
-
-
-def _enforcement_profile(label: str, enforced: EnforcementResult) -> str:
-    """Per-iteration timing breakdown table for ``--profile``."""
-    lines = [
-        f"enforcement profile ({label}): {enforced.iterations} iteration(s), "
-        f"converged={enforced.converged}",
-        "  iter   worst sigma   n_con   check_s  constr_s    qp_s  rebuild_s",
-    ]
-    for rec in enforced.history:
-        lines.append(
-            f"  {rec.iteration:>4d}  {rec.worst_sigma:>12.6f}  "
-            f"{rec.n_constraints:>6d}  {rec.check_seconds:>8.3f}  "
-            f"{rec.constraint_seconds:>8.3f}  {rec.qp_seconds:>6.3f}  "
-            f"{rec.rebuild_seconds:>9.3f}"
-        )
-    totals = enforced.profile()
-    lines.append(
-        "  totals: check {check_seconds:.3f}s, constraints "
-        "{constraint_seconds:.3f}s, qp {qp_seconds:.3f}s, model rebuild "
-        "{rebuild_seconds:.3f}s".format(**totals)
-    )
-    return "\n".join(lines)
 
 
 def _log_level(args: argparse.Namespace) -> int | None:
@@ -594,8 +550,9 @@ def _flow_parent() -> argparse.ArgumentParser:
     parent.add_argument("--low-band-hz", type=float, default=1e6)
     parent.add_argument(
         "--profile", action="store_true",
-        help="print per-stage pipeline timings plus a per-iteration "
-        "breakdown of both passivity-enforcement runs",
+        help="record the run in a telemetry session (in memory unless "
+        "--telemetry is given) and print its trace: per-stage and "
+        "per-kernel span times, enforcement convergence, counters",
     )
     return parent
 
@@ -704,8 +661,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_camp.add_argument(
         "--profile", action="store_true",
-        help="print each run's per-stage pipeline timings and enforcement "
-        "breakdown (check vs. QP vs. model rebuild)",
+        help="print each run's per-stage pipeline timings, plus the "
+        "campaign's span rollup when --telemetry is given",
     )
     p_camp.add_argument(
         "--max-retries", type=int, default=0,

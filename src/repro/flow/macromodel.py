@@ -20,9 +20,9 @@ Execution is delegated to the composable pipeline engine of
 :mod:`repro.api`: :func:`run_flow` seeds a
 :func:`repro.api.pipeline.standard_pipeline` with the in-memory data and
 returns the assembled :class:`FlowResult`, so this module, the CLI and
-the campaign executor all share one execution path, one per-stage cache
-(pass ``store=``) and one event surface (pass ``observers=``).  The
-single stages are plain functions (:func:`repro.vectfit.core.vector_fit`,
+the campaign executor all share one execution path and one per-stage
+cache (pass ``store=``); stage timings and events go to the active
+:mod:`repro.obs` telemetry session.  The single stages are plain functions (:func:`repro.vectfit.core.vector_fit`,
 :func:`repro.sensitivity.firstorder.sensitivity_analytic`,
 :func:`repro.api.stages.compute_base_weights`,
 :func:`repro.api.stages.refine_weighted_fit`,
@@ -149,15 +149,8 @@ class FlowResult:
     headline_metrics: dict = field(default_factory=dict, repr=False)
     stage_provenance: tuple = ()
 
-    def stage_timings(self) -> dict[str, float]:
-        """Wall seconds per pipeline stage of this run."""
-        return {
-            record["stage"]: record["seconds"]
-            for record in self.stage_provenance
-        }
-
     def summary_dict(self) -> dict:
-        """JSON-compatible run summary: metrics, timings, provenance.
+        """JSON-compatible run summary: metrics, provenance.
 
         The one summary every surface shares: the CLI writes it as
         ``flow_summary.json`` and campaign records embed the ``stages``
@@ -170,17 +163,14 @@ class FlowResult:
             "metrics": dict(self.headline_metrics),
             "accuracy_table": accuracy_table(list(self.accuracy_rows)),
             "stages": [dict(record) for record in self.stage_provenance],
-            "stage_seconds": self.stage_timings(),
             "enforcement": {
                 "standard_cost": {
                     "iterations": int(self.standard_enforced.iterations),
                     "converged": bool(self.standard_enforced.converged),
-                    "profile": self.standard_enforced.profile(),
                 },
                 "weighted_cost": {
                     "iterations": int(self.weighted_enforced.iterations),
                     "converged": bool(self.weighted_enforced.converged),
-                    "profile": self.weighted_enforced.profile(),
                 },
             },
         }
@@ -221,7 +211,6 @@ def run_flow(
     *,
     store=None,
     store_stages=None,
-    observers=(),
 ) -> FlowResult:
     """Run all stages of the flow; see :class:`FlowResult` for the outputs.
 
@@ -250,9 +239,6 @@ def run_flow(
         to it by content key, making the run resumable and shareable.
         ``store_stages`` optionally restricts the store to the named
         stages (see :class:`repro.api.pipeline.Pipeline`).
-    ``observers``
-        :class:`repro.api.pipeline.PipelineObserver` instances receiving
-        ``on_stage_start``/``on_stage_finish`` events.
     """
     from repro.api.artifacts import ArtifactStore
     from repro.api.config import ReproConfig
@@ -270,7 +256,5 @@ def run_flow(
     }
     if standard_fit is not None:
         seed["standard_fit"] = standard_fit
-    pipeline = standard_pipeline(
-        store=store, store_stages=store_stages, observers=observers
-    )
+    pipeline = standard_pipeline(store=store, store_stages=store_stages)
     return flow_result_from_run(pipeline.run(config, seed=seed))

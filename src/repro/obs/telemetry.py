@@ -3,9 +3,12 @@
 The subsystem is built around one module-global *active* :class:`Telemetry`
 instance.  Instrumentation sites throughout the package call the free
 functions :func:`emit`, :func:`incr`, :func:`gauge`, and :func:`span`; when
-no telemetry session is active each of those is a single attribute load and
-``None`` check (and :func:`span` returns a shared no-op context manager), so
-disabled-by-default instrumentation costs essentially nothing.
+no telemetry session is active :func:`emit`/:func:`incr`/:func:`gauge` are a
+single attribute load and ``None`` check, so disabled-by-default
+instrumentation costs essentially nothing.  :func:`span` always returns a
+span that times itself (its ``seconds`` after exit), session or not: the
+span is the pipeline's one wall clock, and a session only aggregates and
+streams what the spans measure.
 
 Activate a session with :func:`telemetry_session`::
 
@@ -51,43 +54,33 @@ _ACTIVE: "Telemetry | None" = None
 _MAX_BUFFERED_EVENTS = 200_000
 
 
-class _NullSpan:
-    """Reusable no-op context manager handed out when telemetry is off."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-    def annotate(self, **attrs: Any) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class _Span:
-    """Context manager pushing one frame on the active span stack."""
+    """Context manager timing one block; on a session, one span-stack frame.
 
-    __slots__ = ("_telemetry", "_name", "_attrs", "_started")
+    ``seconds`` holds the block's wall time once the span has exited.
+    """
 
-    def __init__(self, telemetry: "Telemetry", name: str, attrs: dict) -> None:
+    __slots__ = ("_telemetry", "_name", "_attrs", "_started", "seconds")
+
+    def __init__(
+        self, telemetry: "Telemetry | None", name: str, attrs: dict
+    ) -> None:
         self._telemetry = telemetry
         self._name = name
         self._attrs = attrs
         self._started = 0.0
+        self.seconds = 0.0
 
     def __enter__(self) -> "_Span":
-        self._telemetry._push(self._name)
+        if self._telemetry is not None:
+            self._telemetry._push(self._name)
         self._started = time.perf_counter()
         return self
 
     def __exit__(self, *exc: object) -> bool:
-        seconds = time.perf_counter() - self._started
-        self._telemetry._pop(self._name, seconds, self._attrs)
+        self.seconds = seconds = time.perf_counter() - self._started
+        if self._telemetry is not None:
+            self._telemetry._pop(self._name, seconds, self._attrs)
         return False
 
     def annotate(self, **attrs: Any) -> None:
@@ -260,12 +253,9 @@ def gauge(name: str, value: float) -> None:
         t.gauge(name, value)
 
 
-def span(name: str, **attrs: Any):
-    """Open a span on the active session; shared no-op when telemetry is off."""
-    t = _ACTIVE
-    if t is None:
-        return _NULL_SPAN
-    return t.span(name, **attrs)
+def span(name: str, **attrs: Any) -> _Span:
+    """A self-timing span, recorded on the active session if there is one."""
+    return _Span(_ACTIVE, name, attrs)
 
 
 def next_seq(name: str) -> int | None:

@@ -97,7 +97,7 @@ def _payload_from_registry(root: Path) -> dict:
         record = json.loads(result.read_text(encoding="utf-8"))
         runs.append({
             "run_id": record.get("run_id", result.parent.name),
-            "seconds": _record_seconds(record),
+            "seconds": record.get("duration_s"),
             "snapshot": record.get("telemetry"),
         })
         if record.get("status") == "failed":
@@ -115,13 +115,6 @@ def _payload_from_registry(root: Path) -> dict:
     })
     extra = {"failures": failures} if failures else None
     return build_campaign_metrics(telemetry, runs, extra=extra)
-
-
-def _record_seconds(record: Mapping) -> float | None:
-    timings = record.get("timings") or {}
-    if timings:
-        return sum(v for v in timings.values() if isinstance(v, (int, float)))
-    return record.get("seconds")
 
 
 # ----------------------------------------------------------------------
@@ -230,11 +223,12 @@ def _render_spans(spans: Mapping) -> list[str]:
                 f"  x{agg['count']}"
             )
     lines.append("  all spans:")
+    width = max(48, *map(len, spans))
     for path, total in sorted(
         spans.items(), key=lambda kv: -kv[1].get("seconds", 0.0)
     ):
         lines.append(
-            f"    {path:<48} {total.get('seconds', 0.0):10.3f}s"
+            f"    {path:<{width}} {total.get('seconds', 0.0):10.3f}s"
             f"  x{total.get('count', 0)}"
         )
     return lines
@@ -293,11 +287,19 @@ def _render_campaign(payload: Mapping) -> list[str]:
     return lines
 
 
-def render_trace(run_dir: str | Path) -> str:
-    """The full human-readable trace report for ``run_dir``."""
-    payload = load_trace_payload(run_dir)
+def render_trace(source: str | Path | Mapping) -> str:
+    """The full human-readable trace report of a run.
+
+    ``source`` is a run directory (see the module docstring) or a
+    metrics payload such as :func:`repro.obs.metrics.build_run_metrics`
+    returns for a live session.
+    """
+    if isinstance(source, Mapping):
+        payload, name = source, source.get("label") or "session"
+    else:
+        payload, name = load_trace_payload(source), source
     kind = payload.get("kind", "flow")
-    header = f"repro trace: {run_dir}  (kind={kind}, " \
+    header = f"repro trace: {name}  (kind={kind}, " \
              f"{payload.get('n_events', 0)} events)"
     lines = [header, "=" * len(header)]
     if payload.get("run_id"):

@@ -18,7 +18,6 @@ the full-size report.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,8 +91,10 @@ class EnforcementOptions:
 class IterationRecord:
     """Diagnostics of one enforcement iteration.
 
-    The ``*_seconds`` fields are the per-stage wall-time breakdown used by
-    the CLI ``--profile`` flag.
+    Wall time is not part of the record (equal inputs give equal
+    results): each iteration's constraint assembly, QP solve, step and
+    check are timed by the ``enforce:constraints``, ``kernel:qp_solve``,
+    ``enforce:step`` and ``enforce:check`` telemetry spans.
     """
 
     iteration: int
@@ -102,10 +103,6 @@ class IterationRecord:
     n_bands: int
     n_constraints: int
     perturbation_cost: float
-    check_seconds: float = 0.0
-    constraint_seconds: float = 0.0
-    qp_seconds: float = 0.0
-    rebuild_seconds: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -138,19 +135,6 @@ class EnforcementResult:
     report_after: PassivityReport = field(repr=False)
     total_delta_c: np.ndarray = field(repr=False)
     recovery: dict | None = None
-
-    def profile(self) -> dict[str, float]:
-        """Aggregate wall-time breakdown over all iterations (seconds)."""
-        keys = (
-            "check_seconds",
-            "constraint_seconds",
-            "qp_seconds",
-            "rebuild_seconds",
-        )
-        return {
-            key: float(sum(getattr(rec, key) for rec in self.history))
-            for key in keys
-        }
 
 
 def enforce_passivity(
@@ -236,48 +220,42 @@ def enforce_passivity(
     bad_streak = 0
     stop_reason: str | None = None
     while iterations < options.max_iterations and not report.is_passive:
-        tic = time.perf_counter()
-        frequencies = report.constraint_frequencies()
-        constraints = build_constraints(
-            current,
-            frequencies,
-            margin=options.margin,
-            include_threshold=options.include_threshold,
-            symmetric=reciprocal,
-        )
-        constraint_s = time.perf_counter() - tic
+        with obs.span("enforce:constraints"):
+            constraints = build_constraints(
+                current,
+                report.constraint_frequencies(),
+                margin=options.margin,
+                include_threshold=options.include_threshold,
+                symmetric=reciprocal,
+            )
 
-        tic = time.perf_counter()
         with obs.span("kernel:qp_solve", n_constraints=constraints.n_constraints) as span:
             solution = solve_block_qp(
                 cost, constraints, dual_ridge=options.dual_ridge
             )
             span.annotate(working_set=solution.working_set, rounds=solution.rounds)
-        qp_s = time.perf_counter() - tic
 
-        tic = time.perf_counter()
-        base_c = current.element_output_vectors()
-        delta_c = solution.delta_c
-        step_norm = float(np.linalg.norm(delta_c))
-        base_norm = max(float(np.linalg.norm(base_c)), 1e-300)
-        if step_norm > options.max_relative_step * base_norm:
-            delta_c = delta_c * (options.max_relative_step * base_norm / step_norm)
-            _LOG.info(
-                "enforcement: step clipped from %.3e to %.3e (trust region)",
-                step_norm,
-                float(np.linalg.norm(delta_c)),
-            )
-        delta_c = faultinject.corrupt("enforce.step", delta_c)
-        total_delta += delta_c
-        current = current.with_element_output_vectors(base_c + delta_c)
-        rebuild_s = time.perf_counter() - tic
+        with obs.span("enforce:step"):
+            base_c = current.element_output_vectors()
+            delta_c = solution.delta_c
+            step_norm = float(np.linalg.norm(delta_c))
+            base_norm = max(float(np.linalg.norm(base_c)), 1e-300)
+            if step_norm > options.max_relative_step * base_norm:
+                delta_c = delta_c * (options.max_relative_step * base_norm / step_norm)
+                _LOG.info(
+                    "enforcement: step clipped from %.3e to %.3e (trust region)",
+                    step_norm,
+                    float(np.linalg.norm(delta_c)),
+                )
+            delta_c = faultinject.corrupt("enforce.step", delta_c)
+            total_delta += delta_c
+            current = current.with_element_output_vectors(base_c + delta_c)
 
         iterations += 1
-        tic = time.perf_counter()
         # A refuted certificate re-enters the loop with the full-size
         # report's bands.
-        report = checker.check(current)
-        check_s = time.perf_counter() - tic
+        with obs.span("enforce:check"):
+            report = checker.check(current)
 
         # Best-iterate bookkeeping: a report below the best sigma so far
         # advances the best iterate; one at or above it is non-improving.
@@ -298,10 +276,6 @@ def enforce_passivity(
             n_bands=len(report.bands),
             n_constraints=constraints.n_constraints,
             perturbation_cost=solution.cost,
-            check_seconds=check_s,
-            constraint_seconds=constraint_s,
-            qp_seconds=qp_s,
-            rebuild_seconds=rebuild_s,
         )
         history.append(record)
         obs.incr("enforce.iterations")
@@ -314,10 +288,6 @@ def enforce_passivity(
             n_constraints=constraints.n_constraints,
             working_set=solution.working_set,
             active_set=int(np.count_nonzero(solution.dual)),
-            check_seconds=check_s,
-            constraint_seconds=constraint_s,
-            qp_seconds=qp_s,
-            rebuild_seconds=rebuild_s,
         )
         _LOG.info(
             "enforcement iter %d: worst sigma %.8f (%d bands, %d constraints)",

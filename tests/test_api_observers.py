@@ -1,11 +1,8 @@
-"""Observer layer: run provenance, console output, event views."""
+"""Stage provenance records and the pipeline's per-stage log line."""
 
-import io
 import logging
 
 from repro.api import (
-    ConsoleObserver,
-    EventObserver,
     Pipeline,
     PipelineStage,
     ReproConfig,
@@ -70,66 +67,14 @@ class TestStageExecution:
         assert json.loads(json.dumps(execution.to_dict()))
 
 
-class TestConsoleObserver:
-    def test_stream_output_format(self):
-        stream = io.StringIO()
-        Pipeline(
-            [_CountStage()], observers=[ConsoleObserver(stream)]
-        ).run(ReproConfig())
-        lines = stream.getvalue().splitlines()
-        assert lines[0] == "stage count: running ..."
-        assert lines[1].startswith("stage count: computed in ")
-        assert lines[1].endswith("s")
-
-    def test_default_routes_through_package_logger(self, caplog, capsys):
+class TestStageLog:
+    def test_stage_line_logged_at_info(self, caplog, capsys):
         with caplog.at_level(logging.INFO, logger="repro.api.pipeline"):
-            Pipeline(
-                [_CountStage()], observers=[ConsoleObserver()]
-            ).run(ReproConfig())
+            Pipeline([_CountStage()]).run(ReproConfig())
         messages = [r.getMessage() for r in caplog.records]
-        assert any(m == "stage count: running ..." for m in messages)
-        assert any(m.startswith("stage count: computed in ")
-                   for m in messages)
+        assert any(
+            m.startswith("stage count: computed in ") and m.endswith("s")
+            for m in messages
+        )
         # Nothing printed: embedders are not spammed on stdout.
         assert "stage count" not in capsys.readouterr().out
-
-
-class TestEventObserver:
-    def test_receives_structured_events(self):
-        events = []
-
-        class Recorder(EventObserver):
-            def on_event(self, event):
-                events.append(event)
-
-        Pipeline([_CountStage()], observers=[Recorder()]).run(ReproConfig())
-        assert [e["event"] for e in events] == ["stage.start", "stage.finish"]
-        assert events[0]["stage"] == "count"
-        finish = events[1]
-        assert finish["status"] == "computed"
-        assert finish["cache_hit"] is False
-        assert finish["outputs"] == ["count_token"]
-
-    def test_event_payload_matches_telemetry_stream(self, tmp_path):
-        """The observer view and the telemetry sink see the same record."""
-        import json
-
-        from repro.obs import telemetry_session
-
-        events = []
-
-        class Recorder(EventObserver):
-            def on_event(self, event):
-                if event["event"] == "stage.finish":
-                    events.append(event)
-
-        with telemetry_session(tmp_path, label="t") as tel:
-            Pipeline(
-                [_CountStage()], observers=[Recorder()]
-            ).run(ReproConfig())
-        recorded = [
-            e for e in tel.events if e.get("event") == "stage.finish"
-        ]
-        assert len(recorded) == 1 and len(events) == 1
-        for key in ("stage", "status", "seconds", "cache_hit", "outputs"):
-            assert recorded[0][key] == events[0][key]

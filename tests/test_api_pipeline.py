@@ -18,10 +18,10 @@ from repro.api import (
     ArtifactSpec,
     ArtifactStore,
     Pipeline,
-    PipelineObserver,
     PipelineStage,
     ReproConfig,
     StandardFitStage,
+    ValidateStage,
     WeightingStage,
     artifact_digest,
     decode_artifact,
@@ -31,6 +31,7 @@ from repro.api import (
 )
 from repro.api.stages import compute_base_weights, refine_weighted_fit
 from repro.flow.macromodel import FlowOptions, run_flow
+from repro.obs import telemetry as obs
 from repro.passivity.check import check_passivity
 from repro.passivity.cost import l2_gramian_cost
 from repro.passivity.enforce import enforce_passivity
@@ -330,34 +331,37 @@ class TestStoreAndResume:
             )
 
 
-class CheckCounter(PipelineObserver):
+class CheckCounter:
     """Counts ``check_passivity`` calls per pipeline stage.
 
     Wraps the function both where the enforce stage bound it at import
     (``repro.api.stages``) and where validation looks it up at call time
-    (``repro.passivity.check``).
+    (``repro.passivity.check``).  The calling stage is the outermost
+    ``stage:*`` frame on the active telemetry session's span stack, so
+    counted runs must execute inside :meth:`session`.
     """
 
     def __init__(self, monkeypatch):
         import repro.api.stages as stages_module
         import repro.passivity.check as check_module
 
-        self.stage = None
         self.calls: dict[str, int] = {}
         for module in (stages_module, check_module):
             monkeypatch.setattr(
                 module, "check_passivity", self._counting(check_passivity)
             )
 
+    @staticmethod
+    def session():
+        return obs.session(obs.Telemetry())
+
     def _counting(self, fn):
         def wrapper(*args, **kwargs):
-            self.calls[self.stage] = self.calls.get(self.stage, 0) + 1
+            stage = obs.active()._stack[0].removeprefix("stage:")
+            self.calls[stage] = self.calls.get(stage, 0) + 1
             return fn(*args, **kwargs)
 
         return wrapper
-
-    def on_stage_start(self, stage):
-        self.stage = stage.name
 
 
 class TestValidationReusesCertificates:
@@ -383,37 +387,98 @@ class TestValidationReusesCertificates:
     ):
         store = tmp_path / "stages"
         counter = CheckCounter(monkeypatch)
-        cold = run_flow(
-            coarse.data, coarse.termination, coarse.observe_port,
-            fast_options, store=store, observers=(counter,),
-        )
+        with counter.session():
+            cold = run_flow(
+                coarse.data, coarse.termination, coarse.observe_port,
+                fast_options, store=store,
+            )
         assert counter.calls == {"enforce": 1, "validate": 1}
         self.assert_rows_match_fresh_checks(cold)
         assert not cold.accuracy_rows[1].is_passive
 
         # Full replay: every stage is served from the store.
         counter.calls.clear()
-        replay = run_flow(
-            coarse.data, coarse.termination, coarse.observe_port,
-            fast_options, store=store, observers=(counter,),
-        )
+        with counter.session():
+            replay = run_flow(
+                coarse.data, coarse.termination, coarse.observe_port,
+                fast_options, store=store,
+            )
         assert counter.calls == {}
         assert replay.accuracy_rows == cold.accuracy_rows
         self.assert_rows_match_fresh_checks(replay)
 
         # Validation recomputed over certificates decoded from the store.
         counter.calls.clear()
-        revalidated = run_flow(
-            coarse.data, coarse.termination, coarse.observe_port,
-            fast_options, store=store, observers=(counter,),
-            store_stages=("standard_fit", "sensitivity", "weighting", "enforce"),
-        )
+        with counter.session():
+            revalidated = run_flow(
+                coarse.data, coarse.termination, coarse.observe_port,
+                fast_options, store=store,
+                store_stages=("standard_fit", "sensitivity", "weighting",
+                              "enforce"),
+            )
         by_stage = {p["stage"]: p for p in revalidated.stage_provenance}
         assert by_stage["enforce"]["status"] == "cached"
         assert by_stage["validate"]["status"] == "computed"
         assert counter.calls == {"validate": 1}
         assert revalidated.accuracy_rows == cold.accuracy_rows
         self.assert_rows_match_fresh_checks(revalidated)
+
+
+class TestReproducibility:
+    """Equal inputs give equal artifacts, so every key downstream of
+    enforcement is equal too and the store serves it."""
+
+    def test_fresh_runs_agree_and_share_the_validate_entry(
+        self, coarse, fast_options, tmp_path
+    ):
+        config = ReproConfig(flow=fast_options)
+        seed = {
+            "network": coarse.data,
+            "termination": coarse.termination,
+            "observe_port": coarse.observe_port,
+        }
+        # Only validate uses the store: every other stage recomputes.
+        pipeline = standard_pipeline(
+            store=ArtifactStore(tmp_path / "store"),
+            store_stages=("validate",),
+        )
+        validate = ValidateStage()
+        runs = [pipeline.run(config, seed=dict(seed)) for _ in range(2)]
+        for name in ("standard_enforced", "weighted_enforced"):
+            assert artifact_digest(runs[0][name]) == artifact_digest(
+                runs[1][name]
+            ), name
+        keys = [
+            validate.result_key(
+                config, {spec.name: run[spec.name] for spec in validate.inputs}
+            )
+            for run in runs
+        ]
+        assert keys[0] == keys[1]
+        status = [
+            {e.stage: e.status for e in run.executions} for run in runs
+        ]
+        assert status[0]["validate"] == "computed"
+        assert status[1]["validate"] == "cached"
+        assert status[1]["enforce"] == "computed"
+
+    def test_entry_with_removed_timing_fields_is_a_miss(self, tmp_path):
+        """Entries written before wall time left IterationRecord decode
+        to a TypeError, which the store counts as a miss (recompute)."""
+        from repro.passivity.enforce import IterationRecord
+
+        store = ArtifactStore(tmp_path)
+        record = IterationRecord(
+            iteration=1, worst_sigma=1.01, worst_omega=2.0, n_bands=1,
+            n_constraints=4, perturbation_cost=0.5,
+        )
+        store.put("ab" * 32, {"history": [record]})
+        assert store.get("ab" * 32)["history"] == [record]
+        path = store.path("ab" * 32)
+        entry = json.loads(path.read_text())
+        entry["values"]["history"][0]["fields"]["qp_seconds"] = 0.25
+        path.write_text(json.dumps(entry))
+        assert store.get("ab" * 32) is None
 
 
 class TestGraphAndComposition:
@@ -447,27 +512,27 @@ class TestGraphAndComposition:
         assert "standard_fit: network -> standard_fit" in text
         assert "validate:" in text
 
-    def test_observers_see_every_stage(self, coarse, fast_options):
-        events = []
-
-        class Recorder(PipelineObserver):
-            def on_stage_start(self, stage):
-                events.append(("start", stage.name))
-
-            def on_stage_finish(self, stage, execution):
-                events.append(("finish", execution.stage, execution.status))
-
-        result = run_flow(
-            coarse.data, coarse.termination, coarse.observe_port,
-            fast_options, observers=(Recorder(),),
-        )
+    def test_stage_finish_events_cover_every_stage(self, coarse, fast_options):
+        telemetry = obs.Telemetry()
+        with obs.session(telemetry):
+            result = run_flow(
+                coarse.data, coarse.termination, coarse.observe_port,
+                fast_options,
+            )
         stages = ["standard_fit", "sensitivity", "weighting", "enforce",
                   "validate"]
         assert [r["stage"] for r in result.stage_provenance] == stages
-        assert [e for e in events if e[0] == "start"] == [
-            ("start", name) for name in stages
-        ]
-        assert all(e[2] == "computed" for e in events if e[0] == "finish")
+        finished = list(obs.events_of(telemetry, "stage.finish"))
+        assert [e["stage"] for e in finished] == stages
+        assert all(e["status"] == "computed" for e in finished)
+        # Each record's seconds is its stage span's time.
+        spans = {
+            e["span"]: e["seconds"]
+            for e in obs.events_of(telemetry, "span.finish")
+            if "/" not in e["span"]
+        }
+        for record in result.stage_provenance:
+            assert record["seconds"] == spans[f"stage:{record['stage']}"]
 
     def test_custom_stage_inserted_between_weighting_and_enforce(
         self, coarse, fast_options

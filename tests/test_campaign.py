@@ -252,6 +252,23 @@ class TestExecutor:
             assert metadata["run_id"] == record["run_id"]
             assert check_passivity(model).is_passive
 
+    def test_registry_trace_times_runs_by_duration(self, campaign_env):
+        from repro.obs import render_trace
+        from repro.obs.trace import load_trace_payload
+
+        registry = campaign_env["registry"]
+        payload = load_trace_payload(registry.root)
+        durations = {
+            record["run_id"]: registry.load_result(record["run_id"])["duration_s"]
+            for record in campaign_env["result"].records
+        }
+        assert {
+            row["run_id"]: row["seconds"] for row in payload["slowest_runs"]
+        } == durations
+        text = render_trace(registry.root)
+        for seconds in durations.values():
+            assert f"{seconds:.3f}s" in text
+
     def test_cache_hit_on_identical_spec(self, campaign_env):
         # Fresh registry, same cache: every run must be served from cache.
         registry = CampaignRegistry(campaign_env["root"] / "registry2")

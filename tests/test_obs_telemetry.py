@@ -28,12 +28,11 @@ class TestDisabled:
         obs.gauge("anything", 2.0)
         assert obs.next_seq("anything") is None
 
-    def test_span_is_shared_noop(self):
-        first = obs.span("kernel:x")
-        second = obs.span("kernel:y", attr=1)
-        assert first is second  # one reusable singleton, no allocation
-        with first:
-            pass
+    def test_span_times_itself_without_session(self):
+        with obs.span("kernel:x", attr=1) as span:
+            span.annotate(rounds=2)
+            sum(range(1000))
+        assert span.seconds > 0.0
 
 
 class TestSpans:
@@ -55,6 +54,15 @@ class TestSpans:
         assert all(
             total["seconds"] >= 0.0 for total in tel.span_totals.values()
         )
+
+    def test_span_seconds_match_the_recorded_event(self):
+        tel = Telemetry()
+        with obs.session(tel):
+            with obs.span("stage:fit") as span:
+                pass
+        (event,) = obs.events_of(tel, "span.finish")
+        assert event["seconds"] == span.seconds
+        assert tel.span_totals["stage:fit"]["seconds"] == span.seconds
 
     def test_span_finish_events_carry_path_and_attrs(self):
         tel = Telemetry()

@@ -170,6 +170,39 @@ class TestCLI:
         )
         assert code == 2
 
+    def test_flow_profile_prints_span_rollup(
+        self, tmp_path, coarse_testcase, capsys
+    ):
+        from repro.sparams.touchstone import write_touchstone
+
+        data_path = tmp_path / "pdn.s9p"
+        write_touchstone(coarse_testcase.data, data_path)
+        term_path = tmp_path / "term.json"
+        save_termination(coarse_testcase.termination, term_path)
+        code = main(
+            [
+                "flow", str(data_path),
+                "--termination", str(term_path),
+                "--observe-port", str(coarse_testcase.observe_port),
+                "--poles", "8", "--refinement-rounds", "0",
+                "--output-dir", str(tmp_path / "flow"),
+                "--profile",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "time breakdown (span totals)" in out
+        rows = [line.split()[0] for line in out.splitlines()
+                if line.startswith("    stage:")]
+        assert "stage:enforce" in rows
+        assert any(
+            row.startswith("stage:enforce/")
+            and row.rsplit("/", 1)[-1].startswith(("enforce:", "kernel:qp_solve"))
+            for row in rows
+        )
+        # In memory: no telemetry directory is written.
+        assert not (tmp_path / "flow" / "telemetry").exists()
+
     def test_flow_command_end_to_end(self, tmp_path, testcase):
         """Full CLI pipeline on the canonical case (slowest CLI test)."""
         from repro.sparams.touchstone import write_touchstone
